@@ -3,7 +3,7 @@
 Both operate on the block-diagonal stacked system so the learned rows keep the
 [ms-part, hs-part] layout expected by the classification pipeline. The
 supervised and unsupervised alignment variants differ only in the graph
-passed to `fit_lpp`.
+whose pencil (`graph.pencil`) is passed to `fit_lpp`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from scipy.linalg import eigh
 
 from .data import StackedSystem
 from .errors import NumericalError, ValidationError
-from .graph import JointGraph
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,9 @@ def fit_pjdr(sys: StackedSystem, d) -> LinearProjection:
                             method="pjdr", params={"d": d})
 
 
-def fit_lpp(sys: StackedSystem, graph: JointGraph, d) -> LinearProjection:
+def fit_lpp(sys: StackedSystem, pencil, d) -> LinearProjection:
     """Smallest-eigenvalue solutions of the pencil (X L X^T, X D X^T)."""
-    x = sys.xtilde
-    if graph.num_nodes != x.shape[1]:
-        raise ValidationError("graph size does not match the stacked sample count")
-    a = x @ graph.lap @ x.T
-    b = x @ graph.d @ x.T
+    a, b = pencil
     a = 0.5 * (a + a.T)
     b = 0.5 * (b + b.T)
     # ridge floor keeps the pencil definite when some samples have zero degree

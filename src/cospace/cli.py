@@ -171,18 +171,14 @@ def _read_config(path):
 
 def cmd_gridsearch(args):
     config = _read_config(args.config)
-    ds, _, _ = experiment._load_dataset(config)
-    grid = experiment.GridSpec.from_dict(
-        {**config.get("grid", {}), "seed": int(config.get("seed", 0))}
-    )
+    (ds, _, _), grid, hyper_overrides = experiment.resolve_config(config)
     out = {}
     for method in config["methods"]:
         if method == "baseline":
             out[method] = {"best": {"params": {}, "score": None}, "table": []}
             continue
-        best, table = experiment.grid_search(
-            ds, method, grid, hyper_overrides=config.get("hyper", {})
-        )
+        best, table = experiment.grid_search(ds, method, grid,
+                                             hyper_overrides=hyper_overrides)
         out[method] = {"best": best, "table": table}
     os.makedirs(args.out, exist_ok=True)
     _atomic_json(os.path.join(args.out, "gridsearch.json"), out)

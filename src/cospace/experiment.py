@@ -19,7 +19,7 @@ from .data import (
     stack_system,
 )
 from .errors import ValidationError
-from .graph import knn_gaussian_adjacency, laplacian, lda_like_adjacency
+from .graph import knn_gaussian_adjacency, lda_like_adjacency, pencil
 from .metrics import MetricsReport
 
 KNOWN_METHODS = ("baseline", "pjdr", "lusma", "lsma", "cospace")
@@ -107,10 +107,10 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
         proj = baselines.fit_pjdr(sys, params["dim"])
     elif method == "lusma":
         w = knn_gaussian_adjacency(sys.xtilde, params["k"], params["sigma"])
-        proj = baselines.fit_lpp(sys, laplacian(w), params["dim"])
+        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, w), params["dim"])
     elif method == "lsma":
-        proj = baselines.fit_lpp(sys, laplacian(lda_like_adjacency(stacked_labels)),
-                                 params["dim"])
+        w = lda_like_adjacency(stacked_labels)
+        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, w), params["dim"])
     else:
         raise ValidationError(
             f"unknown method {method!r}; known methods: {', '.join(KNOWN_METHODS)}"
@@ -230,6 +230,17 @@ def _load_dataset(config):
     return ds, test_ms, test_labels
 
 
+def resolve_config(config):
+    """Dataset, grid and solver overrides of a `gridsearch`/`benchmark` config.
+
+    A top-level `seed` overrides `grid.seed`; without either the seed is 0.
+    """
+    grid = dict(config.get("grid", {}))
+    if "seed" in config:
+        grid["seed"] = config["seed"]
+    return _load_dataset(config), GridSpec.from_dict(grid), dict(config.get("hyper", {}))
+
+
 def run_benchmark(config):
     """Grid-search, refit, and evaluate every configured method.
 
@@ -243,14 +254,10 @@ def run_benchmark(config):
             raise ValidationError(
                 f"unknown method {m!r}; known methods: {', '.join(KNOWN_METHODS)}"
             )
-    ds, test_ms, test_labels = _load_dataset(config)
-    grid = GridSpec.from_dict(config.get("grid", {}))
-    seed = int(config.get("seed", grid.seed))
-    grid = GridSpec.from_dict({**config.get("grid", {}), "seed": seed})
+    (ds, test_ms, test_labels), grid, hyper_overrides = resolve_config(config)
     lam = float(config.get("linear_lambda", 1e-3))
-    hyper_overrides = dict(config.get("hyper", {}))
 
-    results = {"seed": seed, "methods": {}}
+    results = {"seed": grid.seed, "methods": {}}
     predictions = {}
     timings = {}
     for method in methods:

@@ -15,10 +15,6 @@ class JointGraph:
     d: np.ndarray
     lap: np.ndarray
 
-    @property
-    def num_nodes(self):
-        return self.w.shape[0]
-
 
 def lda_like_adjacency(stacked_labels):
     """Supervised adjacency: weight 1/N_k between distinct same-class samples.
@@ -65,11 +61,30 @@ def laplacian(w) -> JointGraph:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("adjacency must be square")
-    if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
+    # one contiguous transpose for both uses: a strided (2N)^2 pass costs ~3 plain ones;
+    # `buf` holds |W - W^T| and then L, so at most three (2N)^2 arrays are alive
+    wt = np.ascontiguousarray(w.T)
+    buf = w - wt
+    if np.max(np.abs(buf, out=buf), initial=0.0) > 1e-12:
         raise ValidationError("adjacency must be symmetric within 1e-12")
     if np.any(w < 0):
         raise ValidationError("adjacency weights must be nonnegative")
-    w = 0.5 * (w + w.T)
+    w = np.add(w, wt, out=wt)
+    w *= 0.5
     np.fill_diagonal(w, 0.0)
     d = np.diag(w.sum(axis=1))
-    return JointGraph(w=w, d=d, lap=d - w)
+    return JointGraph(w=w, d=d, lap=np.subtract(d, w, out=buf))
+
+
+def pencil(xtilde, w):
+    """Band-space pencil (X L X^T, X D X^T) of an adjacency over the columns of X.
+
+    The only place where an adjacency becomes matrices: CoSpace's alignment
+    term and the LPP baselines see a graph through these D x D products alone.
+    """
+    xtilde = np.asarray(xtilde, dtype=float)
+    g = laplacian(w)
+    if g.w.shape[0] != xtilde.shape[1]:
+        raise ValidationError("graph size does not match the stacked sample count")
+    deg = np.diag(g.d)
+    return xtilde @ g.lap @ xtilde.T, (xtilde * deg) @ xtilde.T

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, svd
 
 from .data import PairedDataset, StackedSystem, stack_system
 from .errors import NumericalError, ValidationError
-from .graph import JointGraph, laplacian, lda_like_adjacency
+from .graph import lda_like_adjacency, pencil
 
 
 @dataclass(frozen=True)
@@ -104,20 +104,21 @@ class CoSpaceModel:
         return self.theta.shape[0]
 
 
-def objective(sys: StackedSystem, graph: JointGraph, p, theta, hyper) -> ObjectiveBreakdown:
-    """Evaluate the data-fit, ridge, and alignment terms (no constraint penalty)."""
+def objective(sys: StackedSystem, xlxt, p, theta, hyper) -> ObjectiveBreakdown:
+    """Evaluate the data-fit, ridge, and alignment terms (no constraint penalty).
+
+    xlxt is X L X^T from `graph.pencil`, so align = beta/2 tr(theta xlxt theta^T).
+    """
     q = theta @ sys.xtilde
     if p.shape != (sys.ytilde.shape[0], theta.shape[0]):
         raise ValidationError(
             f"p has shape {p.shape}, expected "
             f"{(sys.ytilde.shape[0], theta.shape[0])}"
         )
-    if graph.num_nodes != sys.xtilde.shape[1]:
-        raise ValidationError("graph size does not match the stacked sample count")
     resid = sys.ytilde - p @ q
     fidelity = 0.5 * float(np.sum(resid**2))
     p_reg = 0.5 * hyper.alpha * float(np.sum(p**2))
-    align = 0.5 * hyper.beta * float(np.trace(q @ graph.lap @ q.T))
+    align = 0.5 * hyper.beta * float(np.trace(theta @ xlxt @ theta.T))
     return ObjectiveBreakdown(fidelity=fidelity, p_reg=p_reg, align=align)
 
 
@@ -171,12 +172,11 @@ def admm_update_j(p, ytilde, theta_x, lambda1, mu, pp_eig=None):
     return cho_solve(factor, rhs)
 
 
-def admm_update_theta(j, g, lambda1, lambda2, xtilde, lap, beta, mu,
-                      xxt=None, xlxt=None, gen_eig=None):
+def admm_update_theta(j, g, lambda1, lambda2, xtilde, xlxt, beta, mu,
+                      gen_eig=None):
     """Closed form for the unconstrained projection iterate.
 
-    xxt / xlxt allow reuse of X X^T and X L X^T across inner iterations;
-    gen_eig from `factor_theta_system(xxt, xlxt)` replaces the Cholesky
+    gen_eig from `factor_theta_system(X X^T, xlxt)` replaces the Cholesky
     solve with two matmuls, for any mu.
     """
     if mu <= 0:
@@ -188,10 +188,7 @@ def admm_update_theta(j, g, lambda1, lambda2, xtilde, lap, beta, mu,
         if not np.all(np.isfinite(scale)) or not np.all(np.isfinite(rhs)):
             raise NumericalError("non-finite values in the projection update")
         return ((rhs @ v) / scale) @ v.T
-    if xxt is None:
-        xxt = xtilde @ xtilde.T
-    if xlxt is None:
-        xlxt = xtilde @ lap @ xtilde.T
+    xxt = xtilde @ xtilde.T
     system = mu * xxt + mu * np.eye(xxt.shape[0]) + beta * xlxt
     if not np.all(np.isfinite(system)) or not np.all(np.isfinite(rhs)):
         raise NumericalError("non-finite values in the projection update")
@@ -232,19 +229,19 @@ def admm_update_duals(state: AdmmState, xtilde, rho, mu_max) -> AdmmState:
     )
 
 
-def augmented_lagrangian(state: AdmmState, p, ytilde, xtilde, lap, beta):
+def augmented_lagrangian(state: AdmmState, p, ytilde, xtilde, xlxt, beta):
     """Penalty-augmented objective of the split problem at the current state."""
     q = state.theta @ xtilde
     rj = state.j - q
     rg = state.g - state.theta
     value = 0.5 * float(np.sum((ytilde - p @ state.j) ** 2))
-    value += 0.5 * beta * float(np.trace(q @ lap @ q.T))
+    value += 0.5 * beta * float(np.trace(state.theta @ xlxt @ state.theta.T))
     value += float(np.sum(state.lambda1 * rj)) + float(np.sum(state.lambda2 * rg))
     value += 0.5 * state.mu * (float(np.sum(rj**2)) + float(np.sum(rg**2)))
     return value
 
 
-def solve_theta_admm(p, sys: StackedSystem, graph: JointGraph, hyper: Hyperparams,
+def solve_theta_admm(p, sys: StackedSystem, xlxt, hyper: Hyperparams,
                      warm_start=None, trace=None) -> AdmmResult:
     """Inner ADMM loop; returns the feasible (exactly row-orthonormal) iterate.
 
@@ -262,7 +259,7 @@ def solve_theta_admm(p, sys: StackedSystem, graph: JointGraph, hyper: Hyperparam
         theta = _pca_rows(xtilde, dim)
     # both systems are fixed during the solve: factor them once
     pp_eig = factor_j_system(p)
-    gen_eig = factor_theta_system(xtilde @ xtilde.T, xtilde @ graph.lap @ xtilde.T)
+    gen_eig = factor_theta_system(xtilde @ xtilde.T, xlxt)
     state = AdmmState(
         theta=theta,
         j=np.zeros((dim, xtilde.shape[1])),
@@ -278,11 +275,11 @@ def solve_theta_admm(p, sys: StackedSystem, graph: JointGraph, hyper: Hyperparam
                                 state.mu, pp_eig=pp_eig)
         state.theta = admm_update_theta(
             state.j, state.g, state.lambda1, state.lambda2,
-            xtilde, graph.lap, hyper.beta, state.mu, gen_eig=gen_eig,
+            xtilde, xlxt, hyper.beta, state.mu, gen_eig=gen_eig,
         )
         state.g = admm_update_g(state.theta, state.lambda2, state.mu)
         if trace is not None:
-            trace.append(augmented_lagrangian(state, p, ytilde, xtilde, graph.lap, hyper.beta))
+            trace.append(augmented_lagrangian(state, p, ytilde, xtilde, xlxt, hyper.beta))
         theta_x = state.theta @ xtilde
         res_j = float(np.linalg.norm(state.j - theta_x))
         res_g = float(np.linalg.norm(state.g - state.theta))
@@ -327,25 +324,25 @@ def fit(ds: PairedDataset, hyper: Hyperparams, store_refs=True) -> CoSpaceModel:
             "is infeasible"
         )
     stacked_labels = np.concatenate([ds.labels, ds.labels])
-    graph = laplacian(lda_like_adjacency(stacked_labels))
+    xlxt, _ = pencil(sys.xtilde, lda_like_adjacency(stacked_labels))
 
     theta = _pca_rows(sys.xtilde, hyper.dim)
     p = update_p(sys.ytilde, theta @ sys.xtilde, hyper.alpha)
-    energy = objective(sys, graph, p, theta, hyper).total
+    energy = objective(sys, xlxt, p, theta, hyper).total
     trace = [energy]
     converged = False
     for _ in range(hyper.outer_max_iter):
         p = update_p(sys.ytilde, theta @ sys.xtilde, hyper.alpha)
-        inner = solve_theta_admm(p, sys, graph, hyper, warm_start=theta)
+        inner = solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta)
         candidate = inner.theta
-        cand_energy = objective(sys, graph, p, candidate, hyper).total
+        cand_energy = objective(sys, xlxt, p, candidate, hyper).total
         if cand_energy <= trace[-1]:
             theta = candidate
             energy = cand_energy
         else:
             # keep the previous feasible projection; the exact map update
             # alone cannot increase the objective
-            energy = objective(sys, graph, p, theta, hyper).total
+            energy = objective(sys, xlxt, p, theta, hyper).total
         prev = trace[-1]
         trace.append(energy)
         if prev <= 1e-15 or abs(energy - prev) / prev < hyper.outer_tol:
@@ -398,18 +395,7 @@ def model_to_dict(model: CoSpaceModel):
         "d_m": model.d_m,
         "d_h": model.d_h,
         "num_classes": model.num_classes,
-        "hyper": {
-            "alpha": model.hyper.alpha,
-            "beta": model.hyper.beta,
-            "dim": model.hyper.dim,
-            "outer_max_iter": model.hyper.outer_max_iter,
-            "outer_tol": model.hyper.outer_tol,
-            "inner_max_iter": model.hyper.inner_max_iter,
-            "inner_tol": model.hyper.inner_tol,
-            "mu0": model.hyper.mu0,
-            "mu_max": model.hyper.mu_max,
-            "rho": model.hyper.rho,
-        },
+        "hyper": asdict(model.hyper),
         "theta": [[float(v) for v in row] for row in model.theta],
         "p": [[float(v) for v in row] for row in model.p],
         "objective_trace": [float(v) for v in model.objective_trace],

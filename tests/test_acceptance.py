@@ -107,12 +107,13 @@ def test_criterion_04_admm_feasibility_at_convergence():
     for seed in range(5):
         ds, _ = _random_dataset(np.random.default_rng(2000 + seed))
         sys = stack_system(ds)
-        g = laplacian(lda_like_adjacency(np.concatenate([ds.labels, ds.labels])))
+        xlxt, _ = graph.pencil(sys.xtilde,
+                               lda_like_adjacency(np.concatenate([ds.labels, ds.labels])))
         hyper = solver.Hyperparams(alpha=0.1, beta=0.01, dim=2,
                                    inner_max_iter=3000)
         theta0 = solver._pca_rows(sys.xtilde, 2)
         p = solver.update_p(sys.ytilde, theta0 @ sys.xtilde, hyper.alpha)
-        out = solver.solve_theta_admm(p, sys, g, hyper, warm_start=theta0)
+        out = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
         if out.converged:
             checked += 1
             assert out.primal_residual_j < 1e-6, out.primal_residual_j
@@ -183,8 +184,8 @@ def test_criterion_05_closed_form_updates():
         lambda2 = rng.standard_normal((dim, d_total))
         beta = float(rng.uniform(0.01, 1.0))
         jm = rng.standard_normal((dim, n2))
-        theta = solver.admm_update_theta(jm, g, lambda1, lambda2, xtilde, lap,
-                                         beta, mu)
+        theta = solver.admm_update_theta(jm, g, lambda1, lambda2, xtilde,
+                                         graph.pencil(xtilde, w)[0], beta, mu)
 
         def grad_theta(t):
             qx = t @ xtilde
@@ -303,7 +304,7 @@ def test_criterion_10_baseline_eigensolvers():
         np.fill_diagonal(w, 0.0)
         g = laplacian(w)
         sys = StackedSystem(xtilde=x, ytilde=np.zeros((1, n)), d_m=1, d_h=n - 1)
-        proj = baselines.fit_lpp(sys, g, n)
+        proj = baselines.fit_lpp(sys, graph.pencil(x, w), n)
         a = x @ g.lap @ x.T
         b = x @ g.d @ x.T
         a = 0.5 * (a + a.T)

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from cospace import cli, data
+from cospace import cli, data, experiment
 
 
 def _write_scene(path, seed=3):
@@ -204,6 +204,27 @@ class TestBatchCommands:
         doc = json.loads((tmp_path / "gs" / "gridsearch.json").read_text())
         assert doc["pjdr"]["best"]["params"] == {"dim": 2}
         assert doc["baseline"]["best"]["score"] is None
+
+    def test_gridsearch_uses_the_grid_seed(self, tmp_path):
+        # without a top-level seed, both batch commands score grid.seed's folds
+        config_path = self._config(tmp_path)
+        config = json.loads(config_path.read_text())
+        del config["seed"]
+        config["methods"] = ["pjdr"]
+        config["grid"].update(dims=[1, 2], seed=7)
+        config_path.write_text(json.dumps(config))
+        assert cli.main(["gridsearch", "--config", str(config_path),
+                         "--out", str(tmp_path / "gs")]) == 0
+        doc = json.loads((tmp_path / "gs" / "gridsearch.json").read_text())
+        ds, _, _ = data.make_synthetic_scene(
+            data.SceneSpec.from_json(json.dumps(config["dataset"]["scene_spec"])))
+        scores = {}
+        for seed in (0, 7):
+            grid = experiment.GridSpec.from_dict({**config["grid"], "seed": seed})
+            _, table = experiment.grid_search(ds, "pjdr", grid)
+            scores[seed] = [row["score"] for row in table]
+        assert scores[0] != scores[7]
+        assert [row["score"] for row in doc["pjdr"]["table"]] == scores[7]
 
 
 class TestConsoleScript:

@@ -7,6 +7,14 @@ from cospace import graph
 from cospace.errors import ValidationError
 
 
+def _assert_pencil_matches_dense(x, w):
+    """graph.pencil(x, w) against X L X^T and X D X^T with the dense L and D."""
+    g = graph.laplacian(w)
+    a, b = graph.pencil(x, w)
+    np.testing.assert_allclose(a, x @ g.lap @ x.T, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(b, x @ g.d @ x.T, rtol=1e-12, atol=0)
+
+
 def _brute_lda(labels):
     """Independent O(n^2) construction of the supervised adjacency."""
     labels = np.asarray(labels)
@@ -49,6 +57,13 @@ class TestLdaLikeAdjacency:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             graph.lda_like_adjacency([])
+
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=25))
+    @settings(max_examples=25, deadline=None)
+    def test_pencil_matches_dense_laplacian(self, labels):
+        w = graph.lda_like_adjacency(labels)
+        x = np.random.default_rng(len(labels)).standard_normal((3, len(labels)))
+        _assert_pencil_matches_dense(x, w)
 
 
 class TestKnnGaussianAdjacency:
@@ -129,10 +144,14 @@ class TestLaplacian:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError):
             graph.laplacian([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(ValidationError):
+            graph.pencil(np.ones((1, 2)), [[0.0, 1.0], [0.5, 0.0]])
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             graph.laplacian([[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            graph.pencil(np.ones((1, 2)), [[0.0, -1.0], [-1.0, 0.0]])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -147,3 +166,4 @@ class TestLaplacian:
         diffs = f[:, :, None] - f[:, None, :]
         brute = 0.5 * float(np.sum(w * np.sum(diffs**2, axis=0)))
         assert float(np.trace(f @ g.lap @ f.T)) == pytest.approx(brute, abs=1e-9)
+        _assert_pencil_matches_dense(f, w)

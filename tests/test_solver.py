@@ -4,12 +4,11 @@ import pytest
 from cospace import solver
 from cospace.data import PairedDataset, StackedSystem, stack_system
 from cospace.errors import NumericalError, ValidationError
-from cospace.graph import JointGraph, laplacian, lda_like_adjacency
+from cospace.graph import laplacian, lda_like_adjacency, pencil
 
 
-def _zero_graph(n):
-    z = np.zeros((n, n))
-    return JointGraph(w=z, d=z, lap=z)
+def _zero_graph_xlxt(xtilde):
+    return pencil(xtilde, np.zeros((xtilde.shape[1], xtilde.shape[1])))[0]
 
 
 def _toy_dataset(seed=0, n_per_class=8, d_m=3, d_h=6, num_classes=2):
@@ -28,7 +27,7 @@ class TestObjective:
         sys = StackedSystem(xtilde=np.array([[1.0, 1.0]]),
                             ytilde=np.array([[2.0, 2.0]]), d_m=1, d_h=0)
         hyper = solver.Hyperparams(alpha=2.0, beta=0.0, dim=1)
-        out = solver.objective(sys, _zero_graph(2), np.array([[1.0]]),
+        out = solver.objective(sys, _zero_graph_xlxt(sys.xtilde), np.array([[1.0]]),
                                np.array([[1.0]]), hyper)
         assert out.fidelity == pytest.approx(1.0)
         assert out.p_reg == pytest.approx(1.0)
@@ -39,16 +38,16 @@ class TestObjective:
         rng = np.random.default_rng(1)
         ds = _toy_dataset(3, n_per_class=4)
         sys = stack_system(ds)
-        g = laplacian(lda_like_adjacency(np.concatenate([ds.labels, ds.labels])))
+        w = lda_like_adjacency(np.concatenate([ds.labels, ds.labels]))
         theta = solver._pca_rows(sys.xtilde, 3)
         p = rng.standard_normal((2, 3))
         hyper = solver.Hyperparams(alpha=0.0, beta=2.0, dim=3)
-        out = solver.objective(sys, g, p, theta, hyper)
+        out = solver.objective(sys, pencil(sys.xtilde, w)[0], p, theta, hyper)
         q = theta @ sys.xtilde
         brute = 0.0
         for i in range(q.shape[1]):
             for j in range(q.shape[1]):
-                brute += 0.5 * g.w[i, j] * float(np.sum((q[:, i] - q[:, j]) ** 2))
+                brute += 0.5 * w[i, j] * float(np.sum((q[:, i] - q[:, j]) ** 2))
         # align = (beta/2) * tr(Q L Q^T) and the trace equals the pairwise sum
         assert out.align == pytest.approx(0.5 * hyper.beta * brute, rel=1e-10)
 
@@ -57,7 +56,7 @@ class TestObjective:
                             d_m=1, d_h=1)
         hyper = solver.Hyperparams(dim=1)
         with pytest.raises(ValidationError):
-            solver.objective(sys, _zero_graph(4), np.ones((3, 1)),
+            solver.objective(sys, _zero_graph_xlxt(sys.xtilde), np.ones((3, 1)),
                              np.ones((1, 2)), hyper)
 
 
@@ -121,7 +120,7 @@ class TestAdmmUpdates:
         theta = solver.admm_update_theta(
             j=np.array([[2.0]]), g=np.array([[1.0]]),
             lambda1=np.array([[0.0]]), lambda2=np.array([[0.0]]),
-            xtilde=np.array([[1.0]]), lap=np.zeros((1, 1)), beta=0.0, mu=1.0,
+            xtilde=np.array([[1.0]]), xlxt=np.zeros((1, 1)), beta=0.0, mu=1.0,
         )
         assert theta[0, 0] == pytest.approx(1.5)
 
@@ -138,8 +137,8 @@ class TestAdmmUpdates:
         np.fill_diagonal(w, 0.0)
         lap = laplacian(w).lap
         beta, mu = 0.3, 0.9
-        theta = solver.admm_update_theta(j, g, lambda1, lambda2, xtilde, lap,
-                                         beta, mu)
+        theta = solver.admm_update_theta(j, g, lambda1, lambda2, xtilde,
+                                         pencil(xtilde, w)[0], beta, mu)
         # gradient of the augmented Lagrangian in theta must vanish
         q = theta @ xtilde
         grad = beta * q @ lap @ xtilde.T
@@ -150,19 +149,14 @@ class TestAdmmUpdates:
     def test_theta_cached_matrices_agree(self):
         rng = np.random.default_rng(7)
         xtilde = rng.standard_normal((3, 8))
-        lap = laplacian(np.ones((8, 8)) - np.eye(8)).lap
+        xlxt, _ = pencil(xtilde, np.ones((8, 8)) - np.eye(8))
         args = (rng.standard_normal((2, 8)), rng.standard_normal((2, 3)),
                 rng.standard_normal((2, 8)), rng.standard_normal((2, 3)))
-        xxt = xtilde @ xtilde.T
-        xlxt = xtilde @ lap @ xtilde.T
-        a = solver.admm_update_theta(*args, xtilde, lap, 0.5, 1.2)
-        b = solver.admm_update_theta(*args, xtilde, lap, 0.5, 1.2,
-                                     xxt=xxt, xlxt=xlxt)
+        a = solver.admm_update_theta(*args, xtilde, xlxt, 0.5, 1.2)
         c = solver.admm_update_theta(
-            *args, xtilde, lap, 0.5, 1.2,
-            gen_eig=solver.factor_theta_system(xxt, xlxt),
+            *args, xtilde, xlxt, 0.5, 1.2,
+            gen_eig=solver.factor_theta_system(xtilde @ xtilde.T, xlxt),
         )
-        assert np.array_equal(a, b)
         assert np.allclose(c, a, rtol=1e-10, atol=1e-12)
 
     def test_g_permutation_oracle(self):
@@ -209,7 +203,8 @@ class TestAdmmUpdates:
         rng = np.random.default_rng(14)
         ds = _toy_dataset(2, n_per_class=5)
         sys = stack_system(ds)
-        g = laplacian(lda_like_adjacency(np.concatenate([ds.labels, ds.labels])))
+        xlxt, _ = pencil(sys.xtilde,
+                         lda_like_adjacency(np.concatenate([ds.labels, ds.labels])))
         theta = solver._pca_rows(sys.xtilde, 2)
         p = rng.standard_normal((2, 2))
         hyper = solver.Hyperparams(alpha=0.7, beta=0.4, dim=2)
@@ -219,8 +214,8 @@ class TestAdmmUpdates:
             lambda2=rng.standard_normal(theta.shape), mu=3.0,
         )
         al = solver.augmented_lagrangian(state, p, sys.ytilde, sys.xtilde,
-                                         g.lap, hyper.beta)
-        obj = solver.objective(sys, g, p, theta, hyper)
+                                         xlxt, hyper.beta)
+        obj = solver.objective(sys, xlxt, p, theta, hyper)
         assert al == pytest.approx(obj.fidelity + obj.align, rel=1e-10)
 
 
@@ -228,40 +223,41 @@ class TestSolveThetaAdmm:
     def _setup(self, seed=0, dim=2):
         ds = _toy_dataset(seed, n_per_class=6, d_m=2, d_h=4)
         sys = stack_system(ds)
-        g = laplacian(lda_like_adjacency(np.concatenate([ds.labels, ds.labels])))
+        xlxt, _ = pencil(sys.xtilde,
+                         lda_like_adjacency(np.concatenate([ds.labels, ds.labels])))
         hyper = solver.Hyperparams(alpha=0.1, beta=0.01, dim=dim,
                                    inner_max_iter=3000)
         theta0 = solver._pca_rows(sys.xtilde, dim)
         p = solver.update_p(sys.ytilde, theta0 @ sys.xtilde, hyper.alpha)
-        return p, sys, g, hyper, theta0
+        return p, sys, xlxt, hyper, theta0
 
     def test_converges_and_is_feasible(self):
-        p, sys, g, hyper, theta0 = self._setup()
-        out = solver.solve_theta_admm(p, sys, g, hyper, warm_start=theta0)
+        p, sys, xlxt, hyper, theta0 = self._setup()
+        out = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
         assert out.converged
         assert out.primal_residual_j < hyper.inner_tol
         assert out.primal_residual_g < hyper.inner_tol
         assert np.allclose(out.theta @ out.theta.T, np.eye(hyper.dim), atol=1e-8)
 
     def test_improves_objective(self):
-        p, sys, g, hyper, theta0 = self._setup()
-        before = solver.objective(sys, g, p, theta0, hyper).total
-        out = solver.solve_theta_admm(p, sys, g, hyper, warm_start=theta0)
-        after = solver.objective(sys, g, p, out.theta, hyper).total
+        p, sys, xlxt, hyper, theta0 = self._setup()
+        before = solver.objective(sys, xlxt, p, theta0, hyper).total
+        out = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
+        after = solver.objective(sys, xlxt, p, out.theta, hyper).total
         assert after <= before + 1e-9
 
     def test_trace_collects_values(self):
-        p, sys, g, hyper, theta0 = self._setup()
+        p, sys, xlxt, hyper, theta0 = self._setup()
         trace = []
-        out = solver.solve_theta_admm(p, sys, g, hyper, warm_start=theta0,
+        out = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0,
                                       trace=trace)
         assert len(trace) == out.iterations
         assert all(np.isfinite(v) for v in trace)
 
     def test_bad_warm_start_shape(self):
-        p, sys, g, hyper, _ = self._setup()
+        p, sys, xlxt, hyper, _ = self._setup()
         with pytest.raises(ValidationError):
-            solver.solve_theta_admm(p, sys, g, hyper, warm_start=np.ones((1, 1)))
+            solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=np.ones((1, 1)))
 
 
 class TestPcaRows:
