@@ -57,19 +57,14 @@ class ObjectiveBreakdown:
         return self.fidelity + self.p_reg + self.align
 
 
-@dataclass
-class AdmmState:
-    theta: np.ndarray
-    j: np.ndarray
-    g: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    mu: float
-    iter: int = 0
-
-
 @dataclass(frozen=True)
 class AdmmResult:
+    """The inner solve's G iterate with the smallest max(residual J, residual G).
+
+    `converged`, `iterations` and both residuals describe that iterate, not
+    the last one: `converged` says both its residuals are below `inner_tol`.
+    """
+
     theta: np.ndarray
     converged: bool
     iterations: int
@@ -79,6 +74,13 @@ class AdmmResult:
 
 @dataclass(frozen=True)
 class CoSpaceModel:
+    """A fitted projection and label map.
+
+    `converged` covers only the outer loop: the relative objective change fell
+    below `outer_tol`. It says nothing about whether the inner ADMM solves
+    reached `inner_tol`.
+    """
+
     theta: np.ndarray
     p: np.ndarray
     d_m: int
@@ -155,45 +157,31 @@ def factor_theta_system(xxt, xlxt):
     return eigh(xlxt, xxt + np.eye(xxt.shape[0]))
 
 
-def admm_update_j(p, ytilde, theta_x, lambda1, mu, pp_eig=None):
+def admm_update_j(pty, theta_x, lambda1, mu, pp_eig):
     """Closed form for the data-fit split variable.
 
-    pp_eig from `factor_j_system(p)` replaces the Cholesky solve with two
-    matmuls, for any mu.
+    pty is P^T Y and pp_eig is `factor_j_system(p)`, both fixed for a solve.
     """
     if mu <= 0:
         raise ValidationError("mu must be positive")
-    rhs = p.T @ ytilde + mu * theta_x - lambda1
-    if pp_eig is not None:
-        s, u = pp_eig
-        return u @ ((u.T @ rhs) / (s + mu)[:, None])
-    system = p.T @ p + mu * np.eye(p.shape[1])
-    factor = cho_factor(system)
-    return cho_solve(factor, rhs)
+    s, u = pp_eig
+    rhs = pty + mu * theta_x - lambda1
+    return u @ ((u.T @ rhs) / (s + mu)[:, None])
 
 
-def admm_update_theta(j, g, lambda1, lambda2, xtilde, xlxt, beta, mu,
-                      gen_eig=None):
+def admm_update_theta(j, g, lambda1, lambda2, xtilde, beta, mu, gen_eig):
     """Closed form for the unconstrained projection iterate.
 
-    gen_eig from `factor_theta_system(X X^T, xlxt)` replaces the Cholesky
-    solve with two matmuls, for any mu.
+    gen_eig is `factor_theta_system(X X^T, X L X^T)`, fixed for a solve.
     """
     if mu <= 0:
         raise ValidationError("mu must be positive")
+    lam, v = gen_eig
     rhs = (mu * j + lambda1) @ xtilde.T + mu * g + lambda2
-    if gen_eig is not None:
-        lam, v = gen_eig
-        scale = mu + beta * lam
-        if not np.all(np.isfinite(scale)) or not np.all(np.isfinite(rhs)):
-            raise NumericalError("non-finite values in the projection update")
-        return ((rhs @ v) / scale) @ v.T
-    xxt = xtilde @ xtilde.T
-    system = mu * xxt + mu * np.eye(xxt.shape[0]) + beta * xlxt
-    if not np.all(np.isfinite(system)) or not np.all(np.isfinite(rhs)):
+    scale = mu + beta * lam
+    if not np.all(np.isfinite(scale)) or not np.all(np.isfinite(rhs)):
         raise NumericalError("non-finite values in the projection update")
-    factor = cho_factor(system)
-    return cho_solve(factor, rhs.T).T
+    return ((rhs @ v) / scale) @ v.T
 
 
 def admm_update_g(theta, lambda2, mu):
@@ -213,89 +201,55 @@ def admm_update_g(theta, lambda2, mu):
     return u @ vt
 
 
-def admm_update_duals(state: AdmmState, xtilde, rho, mu_max) -> AdmmState:
-    """Gradient-ascent dual step followed by the penalty schedule."""
-    lambda1 = state.lambda1 + state.mu * (state.j - state.theta @ xtilde)
-    lambda2 = state.lambda2 + state.mu * (state.g - state.theta)
-    mu = min(rho * state.mu, mu_max)
-    return AdmmState(
-        theta=state.theta,
-        j=state.j,
-        g=state.g,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        mu=mu,
-        iter=state.iter + 1,
-    )
-
-
-def augmented_lagrangian(state: AdmmState, p, ytilde, xtilde, xlxt, beta):
-    """Penalty-augmented objective of the split problem at the current state."""
-    q = state.theta @ xtilde
-    rj = state.j - q
-    rg = state.g - state.theta
-    value = 0.5 * float(np.sum((ytilde - p @ state.j) ** 2))
-    value += 0.5 * beta * float(np.trace(state.theta @ xlxt @ state.theta.T))
-    value += float(np.sum(state.lambda1 * rj)) + float(np.sum(state.lambda2 * rg))
-    value += 0.5 * state.mu * (float(np.sum(rj**2)) + float(np.sum(rg**2)))
-    return value
+def admm_update_duals(lambda1, lambda2, r_j, r_g, mu, rho, mu_max):
+    """Gradient-ascent dual step on the residuals J - Theta X and G - Theta,
+    followed by the penalty schedule."""
+    return lambda1 + mu * r_j, lambda2 + mu * r_g, min(rho * mu, mu_max)
 
 
 def solve_theta_admm(p, sys: StackedSystem, xlxt, hyper: Hyperparams,
-                     warm_start=None, trace=None) -> AdmmResult:
-    """Inner ADMM loop; returns the feasible (exactly row-orthonormal) iterate.
-
-    When `trace` is a list, the augmented-Lagrangian value after each primal
-    sweep is appended to it.
-    """
-    xtilde, ytilde = sys.xtilde, sys.ytilde
-    d_total = xtilde.shape[0]
-    dim = hyper.dim
-    if warm_start is not None:
-        theta = np.asarray(warm_start, dtype=float)
-        if theta.shape != (dim, d_total):
-            raise ValidationError("warm start has the wrong shape")
-    else:
-        theta = _pca_rows(xtilde, dim)
-    # both systems are fixed during the solve: factor them once
+                     warm_start) -> AdmmResult:
+    """Inner ADMM loop from `warm_start`; returns the G iterate (exactly
+    row-orthonormal) with the smallest primal residual."""
+    xtilde = sys.xtilde
+    theta = np.asarray(warm_start, dtype=float)
+    if theta.shape != (hyper.dim, xtilde.shape[0]):
+        raise ValidationError("warm start has the wrong shape")
+    # the right-hand side and both systems are fixed during the solve
+    pty = p.T @ sys.ytilde
     pp_eig = factor_j_system(p)
     gen_eig = factor_theta_system(xtilde @ xtilde.T, xlxt)
-    state = AdmmState(
-        theta=theta,
-        j=np.zeros((dim, xtilde.shape[1])),
-        g=np.zeros((dim, d_total)),
-        lambda1=np.zeros((dim, xtilde.shape[1])),
-        lambda2=np.zeros((dim, d_total)),
-        mu=hyper.mu0,
-    )
+    g = np.zeros_like(theta)
+    lambda1 = np.zeros((hyper.dim, xtilde.shape[1]))
+    lambda2 = np.zeros_like(theta)
+    mu = hyper.mu0
     best = None
-    theta_x = state.theta @ xtilde
-    for _ in range(hyper.inner_max_iter):
-        state.j = admm_update_j(p, ytilde, theta_x, state.lambda1,
-                                state.mu, pp_eig=pp_eig)
-        state.theta = admm_update_theta(
-            state.j, state.g, state.lambda1, state.lambda2,
-            xtilde, xlxt, hyper.beta, state.mu, gen_eig=gen_eig,
-        )
-        state.g = admm_update_g(state.theta, state.lambda2, state.mu)
-        if trace is not None:
-            trace.append(augmented_lagrangian(state, p, ytilde, xtilde, xlxt, hyper.beta))
-        theta_x = state.theta @ xtilde
-        res_j = float(np.linalg.norm(state.j - theta_x))
-        res_g = float(np.linalg.norm(state.g - state.theta))
-        current = AdmmResult(
-            theta=state.g,
-            converged=res_j < hyper.inner_tol and res_g < hyper.inner_tol,
-            iterations=state.iter + 1,
-            primal_residual_j=res_j,
-            primal_residual_g=res_g,
-        )
+    theta_x = theta @ xtilde
+    for iteration in range(1, hyper.inner_max_iter + 1):
+        j = admm_update_j(pty, theta_x, lambda1, mu, pp_eig)
+        theta = admm_update_theta(j, g, lambda1, lambda2, xtilde, hyper.beta,
+                                  mu, gen_eig)
+        g = admm_update_g(theta, lambda2, mu)
+        theta_x = theta @ xtilde
+        r_j = j - theta_x
+        r_g = g - theta
+        res_j = float(np.linalg.norm(r_j))
+        res_g = float(np.linalg.norm(r_g))
         if best is None or (max(res_j, res_g)
                             < max(best.primal_residual_j, best.primal_residual_g)):
-            best = current
-        if current.converged:
+            best = AdmmResult(
+                theta=g,
+                converged=res_j < hyper.inner_tol and res_g < hyper.inner_tol,
+                iterations=iteration,
+                primal_residual_j=res_j,
+                primal_residual_g=res_g,
+            )
+        # an unconverged best has residuals above tol, so a converged
+        # iterate always becomes the best
+        if best.converged:
             break
-        state = admm_update_duals(state, xtilde, hyper.rho, hyper.mu_max)
+        lambda1, lambda2, mu = admm_update_duals(lambda1, lambda2, r_j, r_g, mu,
+                                                 hyper.rho, hyper.mu_max)
     return best
 
 
@@ -307,12 +261,13 @@ def _pca_rows(xtilde, dim):
     return u[:, :dim].T
 
 
-def fit(ds: PairedDataset, hyper: Hyperparams, store_refs=True) -> CoSpaceModel:
+def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
     """Alternate the ridge map update and the ADMM projection solve.
 
-    Stops when the relative objective change drops below `outer_tol`. The
-    reported projection is always the feasible SVD-projected iterate, so a
-    candidate that fails to decrease the objective is rejected (descent guard).
+    Stops when the relative objective change drops below `outer_tol`; that
+    test alone sets the model's `converged`. The reported projection is always
+    the feasible SVD-projected iterate, so a candidate that fails to decrease
+    the objective is rejected (descent guard).
     """
     if ds.num_classes < 2:
         raise ValidationError("training data must contain at least 2 classes")
@@ -328,17 +283,14 @@ def fit(ds: PairedDataset, hyper: Hyperparams, store_refs=True) -> CoSpaceModel:
 
     theta = _pca_rows(sys.xtilde, hyper.dim)
     p = update_p(sys.ytilde, theta @ sys.xtilde, hyper.alpha)
-    energy = objective(sys, xlxt, p, theta, hyper).total
-    trace = [energy]
+    trace = [objective(sys, xlxt, p, theta, hyper).total]
     converged = False
     for _ in range(hyper.outer_max_iter):
         p = update_p(sys.ytilde, theta @ sys.xtilde, hyper.alpha)
         inner = solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta)
-        candidate = inner.theta
-        cand_energy = objective(sys, xlxt, p, candidate, hyper).total
-        if cand_energy <= trace[-1]:
-            theta = candidate
-            energy = cand_energy
+        energy = objective(sys, xlxt, p, inner.theta, hyper).total
+        if energy <= trace[-1]:
+            theta = inner.theta
         else:
             # keep the previous feasible projection; the exact map update
             # alone cannot increase the objective
@@ -349,11 +301,6 @@ def fit(ds: PairedDataset, hyper: Hyperparams, store_refs=True) -> CoSpaceModel:
             converged = True
             break
 
-    refs = None
-    if store_refs:
-        q = theta @ sys.xtilde
-        refs = (q, stacked_labels,
-                np.array([0] * ds.num_samples + [1] * ds.num_samples))
     return CoSpaceModel(
         theta=theta,
         p=p,
@@ -363,9 +310,9 @@ def fit(ds: PairedDataset, hyper: Hyperparams, store_refs=True) -> CoSpaceModel:
         hyper=hyper,
         objective_trace=tuple(trace),
         converged=converged,
-        ref_embeddings=refs[0] if refs else None,
-        ref_labels=refs[1] if refs else None,
-        ref_modalities=refs[2] if refs else None,
+        ref_embeddings=theta @ sys.xtilde,
+        ref_labels=stacked_labels,
+        ref_modalities=np.array([0] * ds.num_samples + [1] * ds.num_samples),
     )
 
 

@@ -161,7 +161,8 @@ def test_criterion_05_closed_form_updates():
         theta_x = rng.standard_normal((dim, n2))
         lambda1 = rng.standard_normal((dim, n2))
         mu = float(rng.uniform(0.2, 5.0))
-        j = solver.admm_update_j(pm, ytilde, theta_x, lambda1, mu)
+        j = solver.admm_update_j(pm.T @ ytilde, theta_x, lambda1, mu,
+                                 solver.factor_j_system(pm))
         grad_j = -pm.T @ (ytilde - pm @ j) + lambda1 + mu * (j - theta_x)
         assert np.linalg.norm(grad_j) <= 1e-8
 
@@ -184,8 +185,10 @@ def test_criterion_05_closed_form_updates():
         lambda2 = rng.standard_normal((dim, d_total))
         beta = float(rng.uniform(0.01, 1.0))
         jm = rng.standard_normal((dim, n2))
-        theta = solver.admm_update_theta(jm, g, lambda1, lambda2, xtilde,
-                                         graph.pencil(xtilde, w)[0], beta, mu)
+        gen_eig = solver.factor_theta_system(xtilde @ xtilde.T,
+                                             graph.pencil(xtilde, w)[0])
+        theta = solver.admm_update_theta(jm, g, lambda1, lambda2, xtilde, beta,
+                                         mu, gen_eig)
 
         def grad_theta(t):
             qx = t @ xtilde
