@@ -93,7 +93,7 @@ def projection_to_dict(proj: LinearProjection):
         "d_m": proj.d_m,
         "d_h": proj.d_h,
         "params": {k: v for k, v in proj.params.items() if k != "eigenvalues"},
-        "theta": [[float(v) for v in row] for row in proj.theta],
+        "theta": proj.theta.tolist(),
     }
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .data import atomic_write
 from .errors import NumericalError, ValidationError
 
 
@@ -114,6 +115,4 @@ def write_pgm(path, labels, width, height, max_label=None):
         )
     top = max_label if max_label is not None else max(int(labels.max()), 1)
     scaled = np.clip((labels * 255) // top, 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(scaled.reshape(height, width).tobytes())
+    atomic_write(path, f"P5\n{width} {height}\n255\n".encode("ascii") + scaled.tobytes())

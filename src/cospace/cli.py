@@ -18,8 +18,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import classify, data, experiment, solver
 from .errors import NumericalError, ParseError, ValidationError
 from .metrics import MetricsReport
@@ -35,24 +33,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _atomic_json(path, doc):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _atomic_csv(path, samples, labels=None):
-    tmp = f"{path}.tmp"
-    data.save_csv(tmp, samples, labels)
-    os.replace(tmp, path)
-
-
 def _load_truth(path):
     """Accept either a feature CSV with a label column or a label-only CSV."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        header = next((line.strip() for line in fh if not line.isspace()), "")
     if header == "label":
         return data.load_labels_csv(path)
     _, labels = data.load_csv(path)
@@ -61,25 +45,13 @@ def _load_truth(path):
     return labels
 
 
-def _load_predictions(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw or raw[0] != "index,label":
-        raise ParseError(f"{path}: expected `index,label` header", line=1)
-    try:
-        return np.asarray([int(line.split(",")[1]) for line in raw[1:]], dtype=int)
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: malformed prediction row") from None
-
-
 def cmd_simulate(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = data.SceneSpec.from_json(fh.read())
+    spec = data.SceneSpec.from_json(data.load_json(args.spec))
     ds, test_ms, test_labels = data.make_synthetic_scene(spec)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_csv(os.path.join(args.out, "train_ms.csv"), ds.ms, ds.labels)
-    _atomic_csv(os.path.join(args.out, "train_hs.csv"), ds.hs, ds.labels)
-    _atomic_csv(os.path.join(args.out, "test_ms.csv"), test_ms, test_labels)
+    data.save_csv(os.path.join(args.out, "train_ms.csv"), ds.ms, ds.labels)
+    data.save_csv(os.path.join(args.out, "train_hs.csv"), ds.hs, ds.labels)
+    data.save_csv(os.path.join(args.out, "test_ms.csv"), test_ms, test_labels)
     print(
         f"wrote {ds.num_samples} training pairs and {test_ms.shape[1]} "
         f"test samples to {args.out}"
@@ -87,22 +59,9 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
-    ms, labels = data.load_csv(args.train_ms)
-    hs, labels_hs = data.load_csv(args.train_hs)
-    if args.labels:
-        labels = data.load_labels_csv(args.labels)
-    elif labels is None:
-        labels = labels_hs
-    if labels is None:
-        raise ValidationError("no labels given: use --labels or a label column")
-    overrides = {}
-    if args.hyper:
-        with open(args.hyper, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    hyper = solver.Hyperparams(alpha=args.alpha, beta=args.beta, dim=args.dim,
-                               **overrides)
-    ds = data.PairedDataset(ms=ms, hs=hs, labels=labels,
-                            num_classes=int(np.max(labels)))
+    ds = data.load_pairs(args.train_ms, args.train_hs, args.labels)
+    overrides = data.load_json(args.hyper) if args.hyper else None
+    hyper = solver.make_hyperparams(args.alpha, args.beta, args.dim, overrides)
     model = solver.fit(ds, hyper)
     solver.save_model(args.out, model)
     print(
@@ -116,7 +75,7 @@ def cmd_transform(args):
     model = solver.load_model(args.model)
     x, _ = data.load_csv(args.input)
     embed = solver.embed_ms if args.modality == "ms" else solver.embed_hs
-    _atomic_csv(args.out, embed(model, x))
+    data.save_csv(args.out, embed(model, x))
     print(f"embedded {x.shape[1]} samples into {model.dim} dimensions")
 
 
@@ -137,12 +96,7 @@ def cmd_predict(args):
                 args.linear_lambda,
             )
             pred = classify.linear_predict(weights, embedded)
-    tmp = f"{args.out}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("index,label\n")
-        for i, lab in enumerate(pred):
-            fh.write(f"{i},{int(lab)}\n")
-    os.replace(tmp, args.out)
+    data.save_predictions(args.out, pred)
     if args.pgm:
         if not (args.width and args.height):
             raise ValidationError("--pgm requires --width and --height")
@@ -152,25 +106,20 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    pred = _load_predictions(args.pred)
+    pred = data.load_predictions(args.pred)
     truth = _load_truth(args.truth)
     if pred.size != truth.size:
         raise ValidationError(
             f"{pred.size} predictions vs {truth.size} truth labels"
         )
-    num_classes = int(max(pred.max(), truth.max()))
+    num_classes = int(max(pred.max(initial=0), truth.max(initial=0)))
     report = MetricsReport.from_predictions(truth, pred, num_classes)
-    _atomic_json(args.out, report.to_dict())
+    data.save_json(args.out, report.to_dict())
     print(f"oa={report.oa:.4f} aa={report.aa:.4f} kappa={report.kappa:.4f}")
 
 
-def _read_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def cmd_gridsearch(args):
-    config = _read_config(args.config)
+    config = data.load_json(args.config)
     (ds, _, _), grid, hyper_overrides = experiment.resolve_config(config)
     out = {}
     for method in config["methods"]:
@@ -181,12 +130,12 @@ def cmd_gridsearch(args):
                                              hyper_overrides=hyper_overrides)
         out[method] = {"best": best, "table": table}
     os.makedirs(args.out, exist_ok=True)
-    _atomic_json(os.path.join(args.out, "gridsearch.json"), out)
+    data.save_json(os.path.join(args.out, "gridsearch.json"), out)
     print(f"grid search finished for {len(out)} methods")
 
 
 def cmd_benchmark(args):
-    config = _read_config(args.config)
+    config = data.load_json(args.config)
     results, predictions, timings = experiment.run_benchmark(config)
     experiment.write_benchmark_outputs(args.out, results, predictions, timings)
     print(f"benchmark finished; results in {os.path.join(args.out, 'results.json')}")

@@ -1,4 +1,4 @@
-"""Datasets: paired MS/HS samples, spectral degradation, CSV I/O, synthetic scenes.
+"""Datasets: paired MS/HS samples, spectral degradation, file I/O, synthetic scenes.
 
 All feature matrices are stored column-per-sample (bands x pixels). Labels are
 1-based dense integers; one-hot rows are 0-indexed internally.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,12 @@ def onehot_encode(labels, num_classes):
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValidationError("labels must be a nonempty 1-D sequence")
-    for i, lab in enumerate(labels):
-        if int(lab) != lab or not (1 <= lab <= num_classes):
-            raise ValidationError(
-                f"label {lab} at index {i} outside [1..{num_classes}]"
-            )
+    bad = np.nonzero((labels != np.floor(labels)) | (labels < 1)
+                     | (labels > num_classes))[0]
+    if bad.size:
+        raise ValidationError(
+            f"label {labels[bad[0]]} at index {bad[0]} outside [1..{num_classes}]"
+        )
     labels = labels.astype(int)
     out = np.zeros((num_classes, labels.size))
     out[labels - 1, np.arange(labels.size)] = 1.0
@@ -189,80 +191,147 @@ def build_gaussian_srf(ms_centers, hs_centers, fwhm) -> SrfBank:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O. Format: header band_1..band_d[,label], one pixel per row.
+# File I/O: every write goes through `atomic_write`. CSV formats (README):
+# band_1..band_d[,label] features, `label` labels, `index,label` predictions.
 # ---------------------------------------------------------------------------
+
+
+def atomic_write(path, content):
+    """Write a str (as UTF-8) or bytes to a temp file, then rename it to `path`."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+    os.replace(tmp, path)
+
+
+def load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def save_json(path, doc):
+    """Write `doc` as indented, key-sorted JSON ending in a newline."""
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _read_lines(path):
+    """(header cells, header line number, the lines after the header)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    for i, line in enumerate(lines):
+        if not line.isspace():
+            return [c.strip() for c in line.split(",")], i + 1, lines[i + 1 :]
+    raise ParseError(f"{path}: empty file")
+
+
+def _parses(cell, convert):
+    """Whether np.loadtxt takes the cell (it rejects `1_000` and non-ASCII digits)."""
+    try:
+        convert(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell
+
+
+def _parse_rows(path, lines, first_line, num_floats, int_names):
+    """Parse the non-blank lines into records: `num_floats` float columns as
+    field "x", then an int field per name. `#` is an ordinary character, so
+    it cannot cut a row short; a bad row is named by its physical line."""
+    dtype = [(name, int) for name in int_names]
+    if num_floats:
+        dtype.insert(0, ("x", float, (num_floats,)))
+    rows = [line for line in lines if not line.isspace()]
+    if not rows:  # np.loadtxt would warn on empty input
+        return np.empty(0, dtype)
+    try:
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        width = num_floats + len(int_names)
+        for lineno, line in enumerate(lines, start=first_line):
+            if line.isspace():
+                continue
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ParseError(
+                    f"{path}: expected {width} values, found {len(cells)}", line=lineno
+                ) from None
+            if not all(_parses(c, float) for c in cells[:num_floats]):
+                raise ParseError(f"{path}: non-numeric cell", line=lineno) from None
+            if not all(_parses(c, int) for c in cells[num_floats:]):
+                raise ParseError(f"{path}: non-integer label", line=lineno) from None
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_csv(path, samples, labels=None):
     """Write a bands x pixels matrix (one pixel per row) at full precision."""
     samples = _as_matrix(samples, "samples")
     d, n = samples.shape
+    header = ",".join(f"band_{i + 1}" for i in range(d))
+    rows = samples.T.tolist()
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (n,):
             raise ValidationError("labels length must match the pixel count")
-    header = ",".join(f"band_{i + 1}" for i in range(d))
-    if labels is not None:
         header += ",label"
-    lines = [header]
-    for j in range(n):
-        row = ",".join(repr(float(v)) for v in samples[:, j])
-        if labels is not None:
-            row += f",{labels[j]}"
-        lines.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows = [row + [lab] for row, lab in zip(rows, labels.tolist())]
+    atomic_write(path, "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n")
 
 
 def load_csv(path):
     """Read a feature CSV; returns (samples d x N, labels or None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.rstrip("\n") for line in fh]
-    raw = [line for line in raw if line.strip() != ""]
-    if not raw:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in raw[0].split(",")]
-    has_label = header and header[-1] == "label"
+    header, lineno, lines = _read_lines(path)
+    has_label = header[-1] == "label"
     band_cols = header[:-1] if has_label else header
-    expected = [f"band_{i + 1}" for i in range(len(band_cols))]
-    if not band_cols or band_cols != expected:
-        raise ParseError(f"{path}: header must be band_1..band_d[,label]", line=1)
-    d = len(band_cols)
-    width = d + (1 if has_label else 0)
-    cols = []
-    labels = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}: expected {width} values, found {len(cells)}", line=lineno
-            )
-        try:
-            values = [float(c) for c in cells[:d]]
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric cell", line=lineno) from None
-        cols.append(values)
-        if has_label:
-            try:
-                labels.append(int(cells[d]))
-            except ValueError:
-                raise ParseError(f"{path}: non-integer label", line=lineno) from None
-    if not cols:
-        raise ParseError(f"{path}: no data rows", line=1)
-    samples = np.asarray(cols, dtype=float).T
-    return samples, (np.asarray(labels, dtype=int) if has_label else None)
+    if not band_cols or band_cols != [f"band_{i + 1}" for i in range(len(band_cols))]:
+        raise ParseError(f"{path}: header must be band_1..band_d[,label]", line=lineno)
+    table = _parse_rows(path, lines, lineno + 1, len(band_cols),
+                        ["label"] if has_label else [])
+    if table.size == 0:
+        raise ParseError(f"{path}: no data rows", line=lineno)
+    # a view into the parsed table: a copy would raise a scene-sized
+    # predict's peak memory
+    return table["x"].T, (table["label"] if has_label else None)
 
 
 def load_labels_csv(path):
     """Read a single-column label CSV (header `label`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh if line.strip() != ""]
-    if not raw or raw[0] != "label":
-        raise ParseError(f"{path}: expected a single `label` header", line=1)
-    try:
-        return np.asarray([int(v) for v in raw[1:]], dtype=int)
-    except ValueError:
-        raise ParseError(f"{path}: non-integer label") from None
+    header, lineno, lines = _read_lines(path)
+    if header != ["label"]:
+        raise ParseError(f"{path}: expected a single `label` header", line=lineno)
+    return _parse_rows(path, lines, lineno + 1, 0, ["label"])["label"]
+
+
+def load_pairs(ms_path, hs_path, labels_path=None) -> PairedDataset:
+    """Training pairs from an MS and an HS feature CSV. The labels come from
+    the label CSV `labels_path` if given, else from the MS file, else the HS."""
+    ms, labels = load_csv(ms_path)
+    hs, labels_hs = load_csv(hs_path)
+    if labels_path:
+        labels = load_labels_csv(labels_path)
+    elif labels is None:
+        labels = labels_hs
+    if labels is None:
+        raise ValidationError("no labels given: use a label CSV or a label column")
+    return PairedDataset(ms=ms, hs=hs, labels=labels,
+                         num_classes=int(np.max(labels, initial=0)))
+
+
+def save_predictions(path, labels):
+    """Write one predicted label per sample as an `index,label` CSV."""
+    labels = np.asarray(labels, dtype=int).tolist()
+    atomic_write(path, "index,label\n"
+                 + "".join(f"{i},{lab}\n" for i, lab in enumerate(labels)))
+
+
+def load_predictions(path):
+    """Read an `index,label` CSV; the indices must run 0..n-1."""
+    header, lineno, lines = _read_lines(path)
+    if header != ["index", "label"]:
+        raise ParseError(f"{path}: expected `index,label` header", line=lineno)
+    table = _parse_rows(path, lines, lineno + 1, 0, ["index", "label"])
+    if not np.array_equal(table["index"], np.arange(table.size)):
+        raise ParseError(f"{path}: the index column must run 0..n-1")
+    return table["label"]
 
 
 def load_srf_csv(path) -> SrfBank:
@@ -283,9 +352,8 @@ def load_srf_csv(path) -> SrfBank:
 
 
 def save_srf_csv(path, srf: SrfBank):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in srf.filters:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    atomic_write(path, "".join(",".join(map(repr, row)) + "\n"
+                               for row in srf.filters.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines, classify, solver
-from .data import (
-    PairedDataset,
-    SceneSpec,
-    load_csv,
-    make_synthetic_scene,
-    onehot_encode,
-    stack_system,
-)
+from . import baselines, classify, data, solver
+from .data import PairedDataset
 from .errors import ValidationError
 from .graph import knn_gaussian_adjacency, lda_like_adjacency, pencil
 from .metrics import MetricsReport
@@ -94,15 +86,13 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
         return FittedMethod(method, dict(params), lambda x: np.asarray(x, float), refs)
     stacked_labels = np.concatenate([ds.labels, ds.labels])
     if method == "cospace":
-        hyper = solver.Hyperparams(
-            alpha=params["alpha"], beta=params["beta"], dim=params["dim"],
-            **(hyper_overrides or {}),
-        )
+        hyper = solver.make_hyperparams(params["alpha"], params["beta"],
+                                        params["dim"], hyper_overrides)
         model = solver.fit(ds, hyper)
         refs = classify.model_reference_set(model, "both")
         return FittedMethod(method, dict(params),
                             lambda x: solver.embed_ms(model, x), refs, model)
-    sys = stack_system(ds)
+    sys = data.stack_system(ds)
     if method == "pjdr":
         proj = baselines.fit_pjdr(sys, params["dim"])
     elif method == "lusma":
@@ -214,17 +204,9 @@ def size_sensitivity(ds: PairedDataset, test_ms, test_labels, method, params,
 def _load_dataset(config):
     dataset = config["dataset"]
     if "scene_spec" in dataset:
-        spec = SceneSpec.from_json(dataset["scene_spec"])
-        return make_synthetic_scene(spec)
-    ms, labels = load_csv(dataset["train_ms"])
-    hs, labels_hs = load_csv(dataset["train_hs"])
-    if labels is None:
-        labels = labels_hs
-    if labels is None:
-        raise ValidationError("training CSVs carry no label column")
-    num_classes = int(np.max(labels))
-    ds = PairedDataset(ms=ms, hs=hs, labels=labels, num_classes=num_classes)
-    test_ms, test_labels = load_csv(dataset["test_ms"])
+        return data.make_synthetic_scene(data.SceneSpec.from_json(dataset["scene_spec"]))
+    ds = data.load_pairs(dataset["train_ms"], dataset["train_hs"])
+    test_ms, test_labels = data.load_csv(dataset["test_ms"])
     if test_labels is None:
         raise ValidationError("test CSV carries no label column")
     return ds, test_ms, test_labels
@@ -238,7 +220,7 @@ def resolve_config(config):
     grid = dict(config.get("grid", {}))
     if "seed" in config:
         grid["seed"] = config["seed"]
-    return _load_dataset(config), GridSpec.from_dict(grid), dict(config.get("hyper", {}))
+    return _load_dataset(config), GridSpec.from_dict(grid), config.get("hyper")
 
 
 def run_benchmark(config):
@@ -271,7 +253,7 @@ def run_benchmark(config):
         preds = {"1nn": classify.knn1_predict(fitted.references, embedded_test)}
         weights = classify.fit_linear(
             fitted.references.embeddings,
-            onehot_encode(fitted.references.labels, ds.num_classes),
+            data.onehot_encode(fitted.references.labels, ds.num_classes),
             lam,
         )
         preds["linear"] = classify.linear_predict(weights, embedded_test)
@@ -286,24 +268,15 @@ def run_benchmark(config):
             "cv_score": best["score"],
             "metrics": reports,
         }
-        predictions[method] = {clf: [int(v) for v in pred] for clf, pred in preds.items()}
+        predictions[method] = {clf: pred.tolist() for clf, pred in preds.items()}
         timings[method] = time.perf_counter() - start
     return results, predictions, timings
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_benchmark_outputs(outdir, results, predictions, timings):
     os.makedirs(outdir, exist_ok=True)
-    _atomic_write(os.path.join(outdir, "results.json"),
-                  json.dumps(results, indent=2, sort_keys=True) + "\n")
-    _atomic_write(os.path.join(outdir, "timings.json"),
-                  json.dumps(timings, indent=2, sort_keys=True) + "\n")
+    data.save_json(os.path.join(outdir, "results.json"), results)
+    data.save_json(os.path.join(outdir, "timings.json"), timings)
     lines = ["method,classifier,oa,aa,kappa,per_class"]
     for method in sorted(results["methods"]):
         for clf in sorted(results["methods"][method]["metrics"]):
@@ -312,12 +285,8 @@ def write_benchmark_outputs(outdir, results, predictions, timings):
             lines.append(
                 f"{method},{clf},{rep['oa']!r},{rep['aa']!r},{rep['kappa']!r},{per}"
             )
-    _atomic_write(os.path.join(outdir, "table.csv"), "\n".join(lines) + "\n")
+    data.atomic_write(os.path.join(outdir, "table.csv"), "\n".join(lines) + "\n")
     for method, per_clf in predictions.items():
         for clf, pred in per_clf.items():
-            body = "index,label\n" + "\n".join(
-                f"{i},{lab}" for i, lab in enumerate(pred)
-            )
-            _atomic_write(
-                os.path.join(outdir, f"predictions_{method}_{clf}.csv"), body + "\n"
-            )
+            data.save_predictions(
+                os.path.join(outdir, f"predictions_{method}_{clf}.csv"), pred)

@@ -92,6 +92,6 @@ class MetricsReport:
             "oa": self.oa,
             "aa": self.aa,
             "kappa": round(self.kappa, 4),
-            "per_class": [None if np.isnan(v) else float(v) for v in self.per_class],
-            "confusion": [[int(v) for v in row] for row in self.confusion],
+            "per_class": [None if np.isnan(v) else v for v in self.per_class.tolist()],
+            "confusion": self.confusion.tolist(),
         }

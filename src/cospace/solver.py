@@ -9,13 +9,12 @@ projection subproblem is solved by ADMM with an SVD projection step.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, svd
 
-from .data import PairedDataset, StackedSystem, stack_system
+from .data import PairedDataset, StackedSystem, atomic_write, load_json, stack_system
 from .errors import NumericalError, ValidationError
 from .graph import lda_like_adjacency, pencil
 
@@ -38,12 +37,31 @@ class Hyperparams:
             raise ValidationError("alpha and beta must be nonnegative")
         if self.dim < 1:
             raise ValidationError("dim must be positive")
+        if self.inner_max_iter < 1 or self.outer_max_iter < 0:
+            raise ValidationError("need inner_max_iter >= 1 and outer_max_iter >= 0")
         if self.outer_tol <= 0 or self.inner_tol <= 0:
             raise ValidationError("tolerances must be positive")
         if self.rho <= 1:
             raise ValidationError("rho must exceed 1")
         if not (0 < self.mu0 <= self.mu_max):
             raise ValidationError("need 0 < mu0 <= mu_max")
+
+
+def make_hyperparams(alpha, beta, dim, overrides=None) -> Hyperparams:
+    """Hyperparams from the three searched values and a JSON override block.
+
+    The block may set every other field; a key that is unknown or that
+    repeats alpha, beta or dim is a ValidationError naming it.
+    """
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ValidationError("hyperparameter overrides must be a JSON object")
+    allowed = {f.name for f in fields(Hyperparams)} - {"alpha", "beta", "dim"}
+    unknown = sorted(set(overrides) - allowed)
+    if unknown:
+        raise ValidationError(f"hyperparameter override {unknown[0]!r} is not one "
+                              f"of {', '.join(sorted(allowed))}")
+    return Hyperparams(alpha=alpha, beta=beta, dim=dim, **overrides)
 
 
 @dataclass(frozen=True)
@@ -343,16 +361,16 @@ def model_to_dict(model: CoSpaceModel):
         "d_h": model.d_h,
         "num_classes": model.num_classes,
         "hyper": asdict(model.hyper),
-        "theta": [[float(v) for v in row] for row in model.theta],
-        "p": [[float(v) for v in row] for row in model.p],
-        "objective_trace": [float(v) for v in model.objective_trace],
+        "theta": model.theta.tolist(),
+        "p": model.p.tolist(),
+        "objective_trace": list(model.objective_trace),
         "converged": model.converged,
     }
     if model.ref_embeddings is not None:
         doc["refs"] = {
-            "embeddings": [[float(v) for v in row] for row in model.ref_embeddings],
-            "labels": [int(v) for v in model.ref_labels],
-            "modalities": [int(v) for v in model.ref_modalities],
+            "embeddings": model.ref_embeddings.tolist(),
+            "labels": model.ref_labels.tolist(),
+            "modalities": model.ref_modalities.tolist(),
         }
     return doc
 
@@ -375,12 +393,8 @@ def model_from_dict(doc) -> CoSpaceModel:
 
 
 def save_model(path, model: CoSpaceModel):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(model_to_dict(model), sort_keys=True))
 
 
 def load_model(path) -> CoSpaceModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(load_json(path))

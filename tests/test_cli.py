@@ -146,6 +146,20 @@ class TestExitCodes:
         assert code == 1
         assert "validation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["foo", "alpha"])
+    def test_bad_hyper_key_is_validation(self, tmp_path, capsys, key):
+        ms = np.array([[1.0, 2.0, 3.0, 4.0]])
+        data.save_csv(tmp_path / "ms.csv", ms, [1, 1, 2, 2])
+        data.save_csv(tmp_path / "hs.csv", 2 * ms, [1, 1, 2, 2])
+        hyper = tmp_path / "hyper.json"
+        hyper.write_text(json.dumps({key: 1}))
+        code = cli.main(["fit", "--train-ms", str(tmp_path / "ms.csv"),
+                         "--train-hs", str(tmp_path / "hs.csv"), "--dim", "1",
+                         "--hyper", str(hyper), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: validation" in err and repr(key) in err
+
     def test_singular_system_is_numerical(self, tmp_path, capsys):
         # rank-deficient stacked data with alpha=0 makes the map update singular
         ms = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -158,6 +172,24 @@ class TestExitCodes:
                          "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "numerical" in capsys.readouterr().err
+
+    def test_prediction_indices_must_run_from_zero(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("index,label\n1,2\n0,1\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("label\n2\n1\n")
+        assert cli.main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                         "--out", str(tmp_path / "rep.json")]) == 3
+        assert "index column" in capsys.readouterr().err
+
+    def test_label_truth_after_blank_line(self, tmp_path):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("index,label\n0,1\n1,2\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\nlabel\n1\n2\n")
+        assert cli.main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                         "--out", str(tmp_path / "rep.json")]) == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["oa"] == 1.0
 
     def test_prediction_truth_length_mismatch(self, tmp_path):
         pred = tmp_path / "pred.csv"

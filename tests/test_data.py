@@ -148,6 +148,63 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2"):
             data.load_csv(path)
 
+    def test_save_golden_bytes(self, tmp_path):
+        path = tmp_path / "x.csv"
+        data.save_csv(path, np.array([[0.1, 1e-05], [-3.5, 1e16]]), [1, 2])
+        assert path.read_bytes() == (b"band_1,band_2,label\n"
+                                     b"0.1,-3.5,1\n1e-05,1e+16,2\n")
+
+    def test_bad_row_after_blank_line_reports_physical_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("band_1,label\n1.0,1\n\n2.0,2\nfoo,1\n")
+        with pytest.raises(ParseError, match="non-numeric cell.*line 5"):
+            data.load_csv(path)
+
+    def test_hash_in_cell_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("band_1,band_2\n1.0,2.0\n3.0#,4.0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            data.load_csv(path)
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("band_1,label\n1.0,1\n  \t\n2.0,2\n")
+        samples, labels = data.load_csv(path)
+        assert samples.tolist() == [[1.0, 2.0]]
+        assert labels.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("cell", ["2.0", "1_0"])
+    def test_non_integer_label(self, tmp_path, cell):
+        path = tmp_path / "x.csv"
+        path.write_text(f"band_1,label\n1.0,1\n1.0,{cell}\n")
+        with pytest.raises(ParseError, match="non-integer label.*line 3"):
+            data.load_csv(path)
+
+    def test_bad_label_in_label_file_reports_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n1\n2\nx\n")
+        with pytest.raises(ParseError, match="non-integer label.*line 4"):
+            data.load_labels_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_files(self, tmp_path):
+        features = tmp_path / "x.csv"
+        features.write_text("band_1,label\n\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            data.load_csv(features)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("label\n")
+        assert data.load_labels_csv(labels).shape == (0,)
+        preds = tmp_path / "pred.csv"
+        preds.write_text("index,label\n")
+        assert data.load_predictions(preds).shape == (0,)
+
+    def test_predictions_round_trip(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        data.save_predictions(path, np.array([3, 1, 2]))
+        assert path.read_text() == "index,label\n0,3\n1,1\n2,2\n"
+        assert data.load_predictions(path).tolist() == [3, 1, 2]
+
     def test_srf_round_trip(self, tmp_path):
         srf = data.build_gaussian_srf([450, 650], [400, 500, 600, 700], 80)
         path = tmp_path / "srf.csv"

@@ -368,6 +368,7 @@ class TestHyperparams:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -1.0}, {"dim": 0}, {"outer_tol": 0.0}, {"rho": 1.0},
         {"mu0": 0.0}, {"mu0": 2.0, "mu_max": 1.0},
+        {"inner_max_iter": 0}, {"outer_max_iter": -1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
