@@ -19,10 +19,11 @@ from .errors import NumericalError, ValidationError
 
 @dataclass(frozen=True)
 class LinearProjection:
+    """Rows of `theta` project stacked [ms, hs] features; an LPP fit keeps its
+    generalized eigenvalues in params["eigenvalues"]."""
+
     theta: np.ndarray
     d_m: int
-    d_h: int
-    method: str
     params: dict
 
     @property
@@ -32,10 +33,6 @@ class LinearProjection:
     @property
     def theta_h(self):
         return self.theta[:, self.d_m :]
-
-    @property
-    def dim(self):
-        return self.theta.shape[0]
 
 
 def _fix_signs(rows):
@@ -63,8 +60,7 @@ def fit_pjdr(sys: StackedSystem, d) -> LinearProjection:
     if d > rank:
         raise ValidationError(f"d={d} exceeds the data rank {rank}")
     theta = _fix_signs(evecs[:, order[:d]].T)
-    return LinearProjection(theta=theta, d_m=sys.d_m, d_h=sys.d_h,
-                            method="pjdr", params={"d": d})
+    return LinearProjection(theta=theta, d_m=sys.d_m, params={})
 
 
 def fit_lpp(sys: StackedSystem, pencil, d) -> LinearProjection:
@@ -82,26 +78,5 @@ def fit_lpp(sys: StackedSystem, pencil, d) -> LinearProjection:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
     theta = _fix_signs(evecs.T)
-    return LinearProjection(theta=theta, d_m=sys.d_m, d_h=sys.d_h,
-                            method="lpp", params={"d": d, "eigenvalues": evals.tolist()})
-
-
-def projection_to_dict(proj: LinearProjection):
-    return {
-        "method": proj.method,
-        "dim": proj.dim,
-        "d_m": proj.d_m,
-        "d_h": proj.d_h,
-        "params": {k: v for k, v in proj.params.items() if k != "eigenvalues"},
-        "theta": proj.theta.tolist(),
-    }
-
-
-def projection_from_dict(doc) -> LinearProjection:
-    return LinearProjection(
-        theta=np.asarray(doc["theta"], dtype=float),
-        d_m=int(doc["d_m"]),
-        d_h=int(doc["d_h"]),
-        method=doc["method"],
-        params=dict(doc.get("params", {})),
-    )
+    return LinearProjection(theta=theta, d_m=sys.d_m,
+                            params={"eigenvalues": evals.tolist()})

@@ -28,36 +28,6 @@ def _as_matrix(a, name):
 
 
 @dataclass(frozen=True)
-class SpectralCube:
-    """Pixel spectra (bands x pixels) with per-band center wavelengths in nm."""
-
-    samples: np.ndarray
-    band_centers: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_matrix(self.samples, "samples"))
-        centers = np.asarray(self.band_centers, dtype=float)
-        object.__setattr__(self, "band_centers", centers)
-        d, n = self.samples.shape
-        if d < 1 or n < 1:
-            raise ValidationError("cube must have at least one band and one pixel")
-        if centers.shape != (d,):
-            raise ValidationError(
-                f"band_centers length {centers.shape} does not match {d} bands"
-            )
-        if d > 1 and not np.all(np.diff(centers) > 0):
-            raise ValidationError("band_centers must be strictly increasing")
-
-    @property
-    def num_bands(self):
-        return self.samples.shape[0]
-
-    @property
-    def num_pixels(self):
-        return self.samples.shape[1]
-
-
-@dataclass(frozen=True)
 class SrfBank:
     """Spectral response filters, one row per output (MS) band; rows sum to 1."""
 
@@ -71,14 +41,6 @@ class SrfBank:
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValidationError("every SRF row must sum to 1")
         object.__setattr__(self, "filters", f)
-
-    @property
-    def num_ms_bands(self):
-        return self.filters.shape[0]
-
-    @property
-    def num_hs_bands(self):
-        return self.filters.shape[1]
 
 
 def onehot_encode(labels, num_classes):
@@ -117,9 +79,11 @@ class PairedDataset:
             )
         if labels.shape != (ms.shape[1],):
             raise ValidationError("labels length must equal the sample count")
+        # sorted and distinct, so this is 1..num_classes without building it:
+        # num_classes comes from the largest label, which may be huge
         present = np.unique(labels)
-        expected = np.arange(1, self.num_classes + 1)
-        if not np.array_equal(present, expected):
+        if (present.size != self.num_classes
+                or np.any(present != np.arange(1, present.size + 1))):
             raise ValidationError(
                 f"every class in [1..{self.num_classes}] must appear; got {present.tolist()}"
             )
@@ -145,10 +109,6 @@ class StackedSystem:
     d_m: int
     d_h: int
 
-    @property
-    def num_pairs(self):
-        return self.xtilde.shape[1] // 2
-
 
 def stack_system(ds: PairedDataset) -> StackedSystem:
     """Place ms and hs on the diagonal of a (d_M+d_H) x 2N block matrix."""
@@ -160,17 +120,6 @@ def stack_system(ds: PairedDataset) -> StackedSystem:
     onehot = ds.onehot
     ytilde = np.hstack([onehot, onehot])
     return StackedSystem(xtilde=xtilde, ytilde=ytilde, d_m=d_m, d_h=d_h)
-
-
-def simulate_ms(hs: SpectralCube, srf: SrfBank) -> SpectralCube:
-    """Degrade a hyperspectral cube to multispectral by applying SRF filters."""
-    if srf.num_hs_bands != hs.num_bands:
-        raise ValidationError(
-            f"SRF expects {srf.num_hs_bands} input bands, cube has {hs.num_bands}"
-        )
-    samples = srf.filters @ hs.samples
-    centers = srf.filters @ hs.band_centers
-    return SpectralCube(samples=samples, band_centers=centers)
 
 
 def build_gaussian_srf(ms_centers, hs_centers, fwhm) -> SrfBank:
@@ -225,12 +174,14 @@ def _read_lines(path):
 
 
 def _parses(cell, convert):
-    """Whether np.loadtxt takes the cell (it rejects `1_000` and non-ASCII digits)."""
+    """Whether np.loadtxt takes the cell as a float or an int: it rejects
+    `1_000`, non-ASCII digits and integers outside int64."""
     try:
-        convert(cell)
+        value = convert(cell)
     except ValueError:
         return False
-    return cell.isascii() and "_" not in cell
+    in_range = convert is float or -(2**63) <= value < 2**63
+    return in_range and cell.isascii() and "_" not in cell
 
 
 def _parse_rows(path, lines, first_line, num_floats, int_names):
@@ -332,28 +283,6 @@ def load_predictions(path):
     if not np.array_equal(table["index"], np.arange(table.size)):
         raise ParseError(f"{path}: the index column must run 0..n-1")
     return table["label"]
-
-
-def load_srf_csv(path) -> SrfBank:
-    """Read a headerless d_M x d_H SRF weight table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh if line.strip() != ""]
-    rows = []
-    for lineno, line in enumerate(raw, start=1):
-        try:
-            rows.append([float(c) for c in line.split(",")])
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric cell", line=lineno) from None
-        if len(rows[-1]) != len(rows[0]):
-            raise ParseError(f"{path}: ragged row", line=lineno)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    return SrfBank(filters=np.asarray(rows, dtype=float))
-
-
-def save_srf_csv(path, srf: SrfBank):
-    atomic_write(path, "".join(",".join(map(repr, row)) + "\n"
-                               for row in srf.filters.tolist()))
 
 
 # ---------------------------------------------------------------------------

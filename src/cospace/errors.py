@@ -4,6 +4,9 @@ Each class maps to one CLI exit code: ValidationError -> 1,
 NumericalError -> 2, ParseError (and other I/O failures) -> 3.
 """
 
+import math
+from numbers import Integral
+
 
 class CospaceError(Exception):
     pass
@@ -25,3 +28,12 @@ class ParseError(CospaceError):
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
+
+
+def check_number(name, value, kind):
+    """Raise a ValidationError naming `name` unless `value` is a finite `kind`
+    (numbers.Integral or numbers.Real). A bool is neither."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (isinstance(value, Integral) or math.isfinite(value))):
+        noun = "an integer" if kind is Integral else "a finite real number"
+        raise ValidationError(f"{name} must be {noun}, got {value!r}")

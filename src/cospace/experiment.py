@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import baselines, classify, data, solver
 from .data import PairedDataset
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .graph import knn_gaussian_adjacency, lda_like_adjacency, pencil
 from .metrics import MetricsReport
 
 KNOWN_METHODS = ("baseline", "pjdr", "lusma", "lsma", "cospace")
+
+
+_GRID_LISTS = {"dims": Integral, "alphas": Real, "betas": Real,
+               "ks": Integral, "sigmas": Real}
 
 
 @dataclass(frozen=True)
@@ -28,25 +33,27 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dims", "alphas", "betas", "ks", "sigmas"):
+        for name, kind in _GRID_LISTS.items():
             values = getattr(self, name)
-            if len(values) == 0:
-                raise ValidationError(f"{name} must be nonempty")
+            if not isinstance(values, tuple) or len(values) == 0:
+                raise ValidationError(f"grid {name} must be a nonempty list")
+            for i, v in enumerate(values):
+                check_number(f"grid {name}[{i}]", v, kind)
             if any(v <= 0 for v in values):
                 raise ValidationError(f"{name} must be positive")
+        check_number("grid folds", self.folds, Integral)
+        check_number("grid seed", self.seed, Integral)
         if self.folds < 2:
             raise ValidationError("folds must be at least 2")
+        if self.seed < 0:
+            raise ValidationError("grid seed must be nonnegative")
 
     @staticmethod
     def from_dict(doc):
-        kwargs = {}
-        for name in ("dims", "alphas", "betas", "ks", "sigmas"):
-            if name in doc:
-                kwargs[name] = tuple(doc[name])
-        for name in ("folds", "seed"):
-            if name in doc:
-                kwargs[name] = int(doc[name])
-        return GridSpec(**kwargs)
+        """A GridSpec from a config's `grid` block; JSON lists become tuples."""
+        names = {f.name for f in fields(GridSpec)}
+        return GridSpec(**{name: tuple(v) if isinstance(v, list) else v
+                           for name, v in doc.items() if name in names})
 
 
 def kfold_split(n, folds, seed):
@@ -72,8 +79,6 @@ def kfold_split(n, folds, seed):
 class FittedMethod:
     """Uniform view over a fitted method: embeddings plus 1NN references."""
 
-    method: str
-    params: dict
     embed_ms: object
     references: classify.ReferenceSet
     model: object = None
@@ -83,15 +88,14 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
     """Train one method and package its MS embedding and reference set."""
     if method == "baseline":
         refs = classify.ReferenceSet(ds.ms, ds.labels)
-        return FittedMethod(method, dict(params), lambda x: np.asarray(x, float), refs)
+        return FittedMethod(lambda x: np.asarray(x, float), refs)
     stacked_labels = np.concatenate([ds.labels, ds.labels])
     if method == "cospace":
         hyper = solver.make_hyperparams(params["alpha"], params["beta"],
                                         params["dim"], hyper_overrides)
         model = solver.fit(ds, hyper)
         refs = classify.model_reference_set(model, "both")
-        return FittedMethod(method, dict(params),
-                            lambda x: solver.embed_ms(model, x), refs, model)
+        return FittedMethod(lambda x: solver.embed_ms(model, x), refs, model)
     sys = data.stack_system(ds)
     if method == "pjdr":
         proj = baselines.fit_pjdr(sys, params["dim"])
@@ -106,8 +110,7 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
             f"unknown method {method!r}; known methods: {', '.join(KNOWN_METHODS)}"
         )
     refs = classify.ReferenceSet(proj.theta @ sys.xtilde, stacked_labels)
-    return FittedMethod(method, dict(params),
-                        lambda x, p=proj: p.theta_m @ np.asarray(x, float), refs, proj)
+    return FittedMethod(lambda x, p=proj: p.theta_m @ np.asarray(x, float), refs, proj)
 
 
 def _subset(ds: PairedDataset, idx) -> PairedDataset:
@@ -145,23 +148,18 @@ def _cv_score(ds, method, params, splits, hyper_overrides):
     return float(np.mean(scores))
 
 
-def grid_search(ds: PairedDataset, method, grid: GridSpec, scorer=None,
-                hyper_overrides=None):
+def grid_search(ds: PairedDataset, method, grid: GridSpec, hyper_overrides=None):
     """Mean-validation-OA maximizing cell; ties go to the earliest cell.
 
     Cells are enumerated in (dim, alpha, beta, k, sigma) order, so the first
-    maximum realizes the documented tie-break. `scorer(ds, params, splits)`
-    may replace the CV evaluation (used by tests).
+    maximum realizes the documented tie-break.
     """
     cells = method_grid_cells(method, grid)
     splits = kfold_split(ds.num_samples, grid.folds, grid.seed)
     table = []
     best = None
     for params in cells:
-        if scorer is not None:
-            score = float(scorer(ds, params, splits))
-        else:
-            score = _cv_score(ds, method, params, splits, hyper_overrides)
+        score = _cv_score(ds, method, params, splits, hyper_overrides)
         table.append({"params": params, "score": score})
         if best is None or score > best["score"]:
             best = {"params": params, "score": score}

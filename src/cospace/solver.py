@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, svd
 
 from .data import PairedDataset, StackedSystem, atomic_write, load_json, stack_system
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_number
 from .graph import lda_like_adjacency, pencil
 
 
@@ -33,6 +34,9 @@ class Hyperparams:
     rho: float = 1.5
 
     def __post_init__(self):
+        for f in fields(self):
+            check_number(f"hyperparameter {f.name!r}", getattr(self, f.name),
+                         Integral if f.type == "int" else Real)
         if self.alpha < 0 or self.beta < 0:
             raise ValidationError("alpha and beta must be nonnegative")
         if self.dim < 1:
@@ -349,7 +353,7 @@ def embed_hs(model: CoSpaceModel, x):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (shared layout with the baseline projections).
+# JSON serialization.
 # ---------------------------------------------------------------------------
 
 

@@ -132,19 +132,6 @@ class TestLpp:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        proj = baselines.fit_pjdr(_sys(rng.standard_normal((4, 20)), d_m=2), 2)
-        back = baselines.projection_from_dict(baselines.projection_to_dict(proj))
-        assert np.array_equal(back.theta, proj.theta)
-        assert (back.d_m, back.d_h, back.method) == (proj.d_m, proj.d_h, proj.method)
-
-    def test_eigenvalues_not_serialized(self):
-        sys = _sys(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, [[0.0, 1.0], [1.0, 0.0]]), 1)
-        doc = baselines.projection_to_dict(proj)
-        assert "eigenvalues" not in doc["params"]
-
     def test_modality_split(self):
         rng = np.random.default_rng(9)
         proj = baselines.fit_pjdr(_sys(rng.standard_normal((5, 30)), d_m=2), 3)

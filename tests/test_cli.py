@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from cospace import cli, data, experiment
+from cospace import classify, cli, data, experiment, solver
 
 
 def _write_scene(path, seed=3):
@@ -113,6 +113,51 @@ class TestPipeline:
                          "--out", str(tmp_path / "pred.csv")]) == 1
 
 
+    def _fitted_scene(self, tmp_path):
+        _write_scene(tmp_path / "scene.json")
+        scene_dir = tmp_path / "scene"
+        cli.main(["simulate", "--spec", str(tmp_path / "scene.json"),
+                  "--out", str(scene_dir)])
+        model_path = tmp_path / "model.json"
+        cli.main(["fit", "--train-ms", str(scene_dir / "train_ms.csv"),
+                  "--train-hs", str(scene_dir / "train_hs.csv"),
+                  "--dim", "3", "--out", str(model_path)])
+        return scene_dir, model_path, solver.load_model(model_path)
+
+    def test_transform_hs(self, tmp_path):
+        scene_dir, model_path, model = self._fitted_scene(tmp_path)
+        out = tmp_path / "embedded.csv"
+        assert cli.main(["transform", "--model", str(model_path),
+                         "--input", str(scene_dir / "train_hs.csv"),
+                         "--modality", "hs", "--out", str(out)]) == 0
+        hs, _ = data.load_csv(scene_dir / "train_hs.csv")
+        emb, _ = data.load_csv(out)
+        assert np.array_equal(emb, model.theta_h @ hs)
+
+    def test_predict_with_ms_refs(self, tmp_path):
+        scene_dir, model_path, model = self._fitted_scene(tmp_path)
+        # give the HS copies a label of their own, so a prediction that
+        # used any of them shows
+        doc = json.loads(model_path.read_text())
+        hs_label = model.num_classes + 1
+        doc["refs"]["labels"] = [hs_label if modality else label for label, modality
+                                 in zip(doc["refs"]["labels"], doc["refs"]["modalities"])]
+        model_path.write_text(json.dumps(doc))
+        model = solver.load_model(model_path)
+        preds = {}
+        for refs in ("ms", "both"):
+            out = tmp_path / f"pred_{refs}.csv"
+            assert cli.main(["predict", "--model", str(model_path),
+                             "--input", str(scene_dir / "test_ms.csv"),
+                             "--refs", refs, "--out", str(out)]) == 0
+            preds[refs] = data.load_predictions(out)
+        ms, _ = data.load_csv(scene_dir / "test_ms.csv")
+        expected = classify.knn1_predict(classify.model_reference_set(model, "ms"),
+                                         model.theta_m @ ms)
+        assert np.array_equal(preds["ms"], expected)
+        assert hs_label not in preds["ms"] and hs_label in preds["both"]
+
+
 class TestExitCodes:
     def test_missing_file_is_io(self, tmp_path, capsys):
         code = cli.main(["fit", "--train-ms", str(tmp_path / "absent.csv"),
@@ -146,13 +191,19 @@ class TestExitCodes:
         assert code == 1
         assert "validation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["foo", "alpha"])
-    def test_bad_hyper_key_is_validation(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("foo", 1, id="foo"),
+        pytest.param("alpha", 1, id="alpha"),
+        pytest.param("inner_max_iter", "5", id="inner_max_iter-str"),
+        pytest.param("inner_max_iter", 2.5, id="inner_max_iter-float"),
+        pytest.param("outer_tol", True, id="outer_tol-bool"),
+    ])
+    def test_bad_hyper_key_is_validation(self, tmp_path, capsys, key, value):
         ms = np.array([[1.0, 2.0, 3.0, 4.0]])
         data.save_csv(tmp_path / "ms.csv", ms, [1, 1, 2, 2])
         data.save_csv(tmp_path / "hs.csv", 2 * ms, [1, 1, 2, 2])
         hyper = tmp_path / "hyper.json"
-        hyper.write_text(json.dumps({key: 1}))
+        hyper.write_text(json.dumps({key: value}))
         code = cli.main(["fit", "--train-ms", str(tmp_path / "ms.csv"),
                          "--train-hs", str(tmp_path / "hs.csv"), "--dim", "1",
                          "--hyper", str(hyper), "--out", str(tmp_path / "m.json")])

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -26,35 +29,6 @@ class TestOnehot:
         assert np.array_equal(np.argmax(out, axis=0) + 1, labels)
 
 
-class TestSimulateMs:
-    def _cube(self, values, centers):
-        return data.SpectralCube(samples=values, band_centers=centers)
-
-    def test_constant_spectrum_preserved(self):
-        cube = self._cube(np.full((4, 3), 2.5), [400, 500, 600, 700])
-        srf = data.build_gaussian_srf([450, 650], [400, 500, 600, 700], 80)
-        out = data.simulate_ms(cube, srf)
-        assert np.allclose(out.samples, 2.5)
-
-    def test_delta_srf_selects_band(self):
-        cube = self._cube(np.array([[1.0, 2.0], [5.0, 7.0]]), [400, 500])
-        srf = data.SrfBank(filters=np.array([[0.0, 1.0]]))
-        out = data.simulate_ms(cube, srf)
-        assert np.array_equal(out.samples, [[5.0, 7.0]])
-
-    def test_weighted_average(self):
-        # hand oracle: 0.5*1 + 0.5*3 = 2
-        cube = self._cube(np.array([[1.0], [3.0]]), [400, 500])
-        srf = data.SrfBank(filters=np.array([[0.5, 0.5]]))
-        assert data.simulate_ms(cube, srf).samples[0, 0] == pytest.approx(2.0)
-
-    def test_dimension_mismatch(self):
-        cube = self._cube(np.ones((3, 2)), [400, 500, 600])
-        srf = data.SrfBank(filters=np.array([[0.5, 0.5]]))
-        with pytest.raises(ValidationError):
-            data.simulate_ms(cube, srf)
-
-
 class TestGaussianSrf:
     def test_isolated_band_is_one_hot(self):
         srf = data.build_gaussian_srf([500], [500, 900, 1000], fwhm=10)
@@ -76,6 +50,19 @@ class TestGaussianSrf:
     def test_bad_fwhm(self):
         with pytest.raises(ValidationError):
             data.build_gaussian_srf([500], [490, 510], fwhm=0)
+
+
+class TestPairedDataset:
+    def test_missing_class(self):
+        with pytest.raises(ValidationError, match=r"every class in \[1\.\.3\]"):
+            data.PairedDataset(ms=np.ones((1, 2)), hs=np.ones((2, 2)),
+                               labels=[1, 3], num_classes=3)
+
+    def test_huge_label_is_rejected_without_allocating(self):
+        # a 1..10^13 class range would need 72.8 TiB
+        with pytest.raises(ValidationError, match="must appear"):
+            data.PairedDataset(ms=np.ones((1, 2)), hs=np.ones((2, 2)),
+                               labels=[1, 10**13], num_classes=10**13)
 
 
 class TestStackSystem:
@@ -205,11 +192,11 @@ class TestCsv:
         assert path.read_text() == "index,label\n0,3\n1,1\n2,2\n"
         assert data.load_predictions(path).tolist() == [3, 1, 2]
 
-    def test_srf_round_trip(self, tmp_path):
-        srf = data.build_gaussian_srf([450, 650], [400, 500, 600, 700], 80)
-        path = tmp_path / "srf.csv"
-        data.save_srf_csv(path, srf)
-        assert np.array_equal(data.load_srf_csv(path).filters, srf.filters)
+    def test_label_outside_int64_reports_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n1\n\n99999999999999999999\n")
+        with pytest.raises(ParseError, match="non-integer label.*line 4"):
+            data.load_labels_csv(path)
 
 
 def _scene_spec(noise=0.1, seed=0):
@@ -278,3 +265,12 @@ class TestSyntheticScene:
         a = data.make_synthetic_scene(spec)
         b = data.make_synthetic_scene(back)
         assert np.array_equal(a[0].hs, b[0].hs)
+
+    def test_shipped_scene_matches_its_generator(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "make_metamer_scene", root / "scripts" / "make_metamer_scene.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        shipped = (root / "data" / "metamer_scene.json").read_text(encoding="utf-8")
+        assert script.build_spec().to_json() + "\n" == shipped

@@ -45,6 +45,17 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             experiment.GridSpec(alphas=(0.0,))
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"dims": [4.0]}, "dims"), ({"dims": [True]}, "dims"), ({"dims": 4}, "dims"),
+        ({"ks": ["5"]}, "ks"), ({"alphas": [False]}, "alphas"),
+        ({"sigmas": ["1.0"]}, "sigmas"), ({"folds": 3.5}, "folds"),
+        ({"folds": "3"}, "folds"), ({"seed": 1.0}, "seed"), ({"seed": -1}, "seed"),
+        ({"alphas": [float("nan")]}, "alphas"),
+    ])
+    def test_from_dict_rejects_mistyped_values(self, doc, field):
+        with pytest.raises(ValidationError, match=f"grid {field}"):
+            experiment.GridSpec.from_dict(doc)
+
 
 class TestKfoldSplit:
     def test_partition(self):
@@ -121,19 +132,17 @@ class TestGridCells:
 
 
 class TestGridSearch:
-    def test_tie_break_earliest_cell(self):
-        ds = _dataset()
-        best, table = experiment.grid_search(
-            ds, "lsma", SMALL_GRID, scorer=lambda ds_, params, splits: 0.5)
+    def test_tie_break_earliest_cell(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_cv_score", lambda *args: 0.5)
+        best, table = experiment.grid_search(_dataset(), "lsma", SMALL_GRID)
         assert best["params"] == {"dim": 2}
         assert len(table) == 2
         assert all(row["score"] == 0.5 for row in table)
 
-    def test_maximum_wins(self):
-        ds = _dataset()
-        best, _ = experiment.grid_search(
-            ds, "lsma", SMALL_GRID,
-            scorer=lambda ds_, params, splits: params["dim"] / 10.0)
+    def test_maximum_wins(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_cv_score",
+                            lambda ds, method, params, *rest: params["dim"] / 10.0)
+        best, _ = experiment.grid_search(_dataset(), "lsma", SMALL_GRID)
         assert best["params"] == {"dim": 3}
         assert best["score"] == pytest.approx(0.3)
 

@@ -369,6 +369,9 @@ class TestHyperparams:
         {"alpha": -1.0}, {"dim": 0}, {"outer_tol": 0.0}, {"rho": 1.0},
         {"mu0": 0.0}, {"mu0": 2.0, "mu_max": 1.0},
         {"inner_max_iter": 0}, {"outer_max_iter": -1},
+        {"inner_max_iter": "5"}, {"inner_max_iter": 2.5}, {"outer_tol": True},
+        {"dim": True}, {"alpha": "0.1"}, {"outer_tol": float("nan")},
+        {"mu_max": float("inf")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
