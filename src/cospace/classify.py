@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import atomic_write
+from .data import atomic_write, onehot_encode
 from .errors import NumericalError, ValidationError
 
 
@@ -82,6 +82,12 @@ def linear_predict(weights, queries):
     return np.argmax(scores, axis=0) + 1
 
 
+def linear_classify(refs: ReferenceSet, queries, num_classes, lam):
+    """Labels of `queries` from the ridge-linear classifier fitted on `refs`."""
+    onehot = onehot_encode(refs.labels, num_classes)
+    return linear_predict(fit_linear(refs.embeddings, onehot, lam), queries)
+
+
 def predict_via_p(model, ms_queries):
     """Classify MS samples directly through the learned label map."""
     from .solver import embed_ms
@@ -106,13 +112,12 @@ def model_reference_set(model, refs="both") -> ReferenceSet:
     raise ValidationError(f"unknown reference selection {refs!r}; use both|ms")
 
 
-def write_pgm(path, labels, width, height, max_label=None):
+def write_pgm(path, labels, width, height, max_label):
     """Emit an 8-bit grayscale label map (labels scaled into 0..255)."""
     labels = np.asarray(labels, dtype=int)
     if labels.size != width * height:
         raise ValidationError(
             f"{labels.size} labels do not fill a {width}x{height} map"
         )
-    top = max_label if max_label is not None else max(int(labels.max()), 1)
-    scaled = np.clip((labels * 255) // top, 0, 255).astype(np.uint8)
+    scaled = np.clip((labels * 255) // max_label, 0, 255).astype(np.uint8)
     atomic_write(path, f"P5\n{width} {height}\n255\n".encode("ascii") + scaled.tobytes())

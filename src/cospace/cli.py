@@ -90,12 +90,8 @@ def cmd_predict(args):
         if args.classifier == "1nn":
             pred = classify.knn1_predict(refs, embedded)
         else:
-            weights = classify.fit_linear(
-                refs.embeddings,
-                data.onehot_encode(refs.labels, model.num_classes),
-                args.linear_lambda,
-            )
-            pred = classify.linear_predict(weights, embedded)
+            pred = classify.linear_classify(refs, embedded, model.num_classes,
+                                            args.linear_lambda)
     data.save_predictions(args.out, pred)
     if args.pgm:
         if not (args.width and args.height):
@@ -119,13 +115,10 @@ def cmd_evaluate(args):
 
 
 def cmd_gridsearch(args):
-    config = data.load_json(args.config)
-    (ds, _, _), grid, hyper_overrides = experiment.resolve_config(config)
+    (ds, _, _), grid, hyper_overrides, methods, _ = experiment.resolve_config(
+        data.load_json(args.config))
     out = {}
-    for method in config["methods"]:
-        if method == "baseline":
-            out[method] = {"best": {"params": {}, "score": None}, "table": []}
-            continue
+    for method in methods:
         best, table = experiment.grid_search(ds, method, grid,
                                              hyper_overrides=hyper_overrides)
         out[method] = {"best": best, "table": table}
@@ -135,8 +128,7 @@ def cmd_gridsearch(args):
 
 
 def cmd_benchmark(args):
-    config = data.load_json(args.config)
-    results, predictions, timings = experiment.run_benchmark(config)
+    results, predictions, timings = experiment.run_benchmark(data.load_json(args.config))
     experiment.write_benchmark_outputs(args.out, results, predictions, timings)
     print(f"benchmark finished; results in {os.path.join(args.out, 'results.json')}")
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_keys, check_number, check_numbers
 
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # ~2.3548
 
@@ -310,11 +311,15 @@ class SceneSpec:
     brightness_sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("noise_sigma", "srf_fwhm", "test_fraction", "brightness_sigma"):
+            check_number(f"scene {name}", getattr(self, name), Real)
+        check_number("scene seed", self.seed, Integral)
+        if self.seed < 0:
+            raise ValidationError("scene seed must be nonnegative")
         if len(self.classes) < 2:
             raise ValidationError("a scene needs at least 2 classes")
-        for c in self.classes:
-            if c.size <= 0:
-                raise ValidationError("class sizes must be positive")
+        for k, c in enumerate(self.classes, start=1):
+            check_number(f"scene class {k} size", c.size, Integral)
         if self.noise_sigma < 0 or self.brightness_sigma < 0:
             raise ValidationError("noise sigmas must be nonnegative")
         if not (0 < self.test_fraction < 1):
@@ -322,45 +327,33 @@ class SceneSpec:
 
     @staticmethod
     def from_json(doc):
+        """A SceneSpec from JSON; a bad key or value is a ValidationError naming it."""
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        classes = tuple(
-            ClassSpec(hs_mean=np.asarray(c["hs_mean"], dtype=float), size=int(c["size"]))
-            for c in doc["classes"]
-        )
-        return SceneSpec(
-            classes=classes,
-            noise_sigma=float(doc["noise_sigma"]),
-            ms_centers=np.asarray(doc["ms_centers"], dtype=float),
-            hs_centers=np.asarray(doc["hs_centers"], dtype=float),
-            srf_fwhm=float(doc["srf_fwhm"]),
-            test_fraction=float(doc["test_fraction"]),
-            seed=int(doc.get("seed", 0)),
-            brightness_sigma=float(doc.get("brightness_sigma", 0.0)),
-        )
+        names = [f.name for f in fields(SceneSpec)]
+        check_keys("scene spec", doc, names, required=names[:6])  # fields without defaults
+        if not isinstance(doc["classes"], list):
+            raise ValidationError("scene classes must be a list")
+        classes = []
+        for k, c in enumerate(doc["classes"], start=1):
+            check_keys(f"scene class {k}", c, ("hs_mean", "size"), required=("hs_mean", "size"))
+            classes.append(ClassSpec(_reals(f"scene class {k} hs_mean", c["hs_mean"]), c["size"]))
+        return SceneSpec(**dict(doc, classes=tuple(classes),
+                                ms_centers=_reals("scene ms_centers", doc["ms_centers"]),
+                                hs_centers=_reals("scene hs_centers", doc["hs_centers"])))
 
     def to_json(self):
-        return json.dumps(
-            {
-                "classes": [
-                    {"hs_mean": list(map(float, c.hs_mean)), "size": c.size}
-                    for c in self.classes
-                ],
-                "noise_sigma": self.noise_sigma,
-                "ms_centers": list(map(float, self.ms_centers)),
-                "hs_centers": list(map(float, self.hs_centers)),
-                "srf_fwhm": self.srf_fwhm,
-                "test_fraction": self.test_fraction,
-                "seed": self.seed,
-                "brightness_sigma": self.brightness_sigma,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), default=lambda v: v.tolist(), indent=2,
+                          sort_keys=True)
 
     @property
     def srf(self) -> SrfBank:
         return build_gaussian_srf(self.ms_centers, self.hs_centers, self.srf_fwhm)
+
+
+def _reals(name, values):
+    check_numbers(name, values, Real)
+    return np.asarray(values, dtype=float)
 
 
 def metamer_hs_mean(base_mean, srf: SrfBank, scale, seed=0, leak=0.0):
@@ -389,13 +382,13 @@ def metamer_hs_mean(base_mean, srf: SrfBank, scale, seed=0, leak=0.0):
     return base_mean + offset
 
 
-def make_synthetic_scene(spec: SceneSpec, seed=None):
+def make_synthetic_scene(spec: SceneSpec):
     """Sample a paired training set and an MS-only test set from a SceneSpec.
 
     Returns (PairedDataset, test_ms: d_M x T matrix, test_labels). Deterministic
-    for a fixed seed (defaults to spec.seed).
+    for a fixed spec.seed.
     """
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     srf = spec.srf
     d_h = len(spec.hs_centers)
     train_hs, train_labels = [], []

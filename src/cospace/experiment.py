@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
 
 from . import baselines, classify, data, solver
 from .data import PairedDataset
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_keys, check_number, check_numbers
 from .graph import knn_gaussian_adjacency, lda_like_adjacency, pencil
 from .metrics import MetricsReport
 
-KNOWN_METHODS = ("baseline", "pjdr", "lusma", "lsma", "cospace")
+# each projection method's grid axes; GridSpec holds axis `a`'s values as `a + "s"`
+METHOD_AXES = {"pjdr": ("dim",), "lusma": ("dim", "k", "sigma"), "lsma": ("dim",),
+               "cospace": ("dim", "alpha", "beta")}
+KNOWN_METHODS = ("baseline", *METHOD_AXES)
+
+
+def _check_method(method):
+    if method not in KNOWN_METHODS:
+        raise ValidationError(
+            f"unknown method {method!r}; known methods: {', '.join(KNOWN_METHODS)}")
 
 
 _GRID_LISTS = {"dims": Integral, "alphas": Real, "betas": Real,
@@ -35,10 +45,7 @@ class GridSpec:
     def __post_init__(self):
         for name, kind in _GRID_LISTS.items():
             values = getattr(self, name)
-            if not isinstance(values, tuple) or len(values) == 0:
-                raise ValidationError(f"grid {name} must be a nonempty list")
-            for i, v in enumerate(values):
-                check_number(f"grid {name}[{i}]", v, kind)
+            check_numbers(f"grid {name}", values, kind)
             if any(v <= 0 for v in values):
                 raise ValidationError(f"{name} must be positive")
         check_number("grid folds", self.folds, Integral)
@@ -51,9 +58,9 @@ class GridSpec:
     @staticmethod
     def from_dict(doc):
         """A GridSpec from a config's `grid` block; JSON lists become tuples."""
-        names = {f.name for f in fields(GridSpec)}
+        check_keys("grid", doc, [f.name for f in fields(GridSpec)])
         return GridSpec(**{name: tuple(v) if isinstance(v, list) else v
-                           for name, v in doc.items() if name in names})
+                           for name, v in doc.items()})
 
 
 def kfold_split(n, folds, seed):
@@ -77,40 +84,34 @@ def kfold_split(n, folds, seed):
 
 @dataclass(frozen=True)
 class FittedMethod:
-    """Uniform view over a fitted method: embeddings plus 1NN references."""
+    """MS projection (the identity for `baseline`), 1NN references and model."""
 
-    embed_ms: object
+    theta_m: np.ndarray
     references: classify.ReferenceSet
     model: object = None
 
+    def embed_ms(self, x):
+        return self.theta_m @ np.asarray(x, dtype=float)
+
 
 def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> FittedMethod:
-    """Train one method and package its MS embedding and reference set."""
+    """Train one method and package its MS projection and reference set."""
+    _check_method(method)
     if method == "baseline":
-        refs = classify.ReferenceSet(ds.ms, ds.labels)
-        return FittedMethod(lambda x: np.asarray(x, float), refs)
+        return FittedMethod(np.eye(ds.ms.shape[0]), classify.ReferenceSet(ds.ms, ds.labels))
+    sys = data.stack_system(ds)
     stacked_labels = np.concatenate([ds.labels, ds.labels])
     if method == "cospace":
-        hyper = solver.make_hyperparams(params["alpha"], params["beta"],
-                                        params["dim"], hyper_overrides)
-        model = solver.fit(ds, hyper)
-        refs = classify.model_reference_set(model, "both")
-        return FittedMethod(lambda x: solver.embed_ms(model, x), refs, model)
-    sys = data.stack_system(ds)
-    if method == "pjdr":
+        proj = solver.fit(ds, solver.make_hyperparams(params["alpha"], params["beta"],
+                                                      params["dim"], hyper_overrides))
+    elif method == "pjdr":
         proj = baselines.fit_pjdr(sys, params["dim"])
-    elif method == "lusma":
-        w = knn_gaussian_adjacency(sys.xtilde, params["k"], params["sigma"])
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, w), params["dim"])
-    elif method == "lsma":
-        w = lda_like_adjacency(stacked_labels)
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, w), params["dim"])
     else:
-        raise ValidationError(
-            f"unknown method {method!r}; known methods: {', '.join(KNOWN_METHODS)}"
-        )
+        w = (lda_like_adjacency(stacked_labels) if method == "lsma"
+             else knn_gaussian_adjacency(sys.xtilde, params["k"], params["sigma"]))
+        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, w), params["dim"])
     refs = classify.ReferenceSet(proj.theta @ sys.xtilde, stacked_labels)
-    return FittedMethod(lambda x, p=proj: p.theta_m @ np.asarray(x, float), refs, proj)
+    return FittedMethod(proj.theta_m, refs, proj)
 
 
 def _subset(ds: PairedDataset, idx) -> PairedDataset:
@@ -120,23 +121,11 @@ def _subset(ds: PairedDataset, idx) -> PairedDataset:
 
 def method_grid_cells(method, grid: GridSpec):
     """Parameter cells for a method, in tie-break order."""
-    if method == "cospace":
-        return [
-            {"dim": d, "alpha": a, "beta": b}
-            for d in sorted(grid.dims)
-            for a in sorted(grid.alphas)
-            for b in sorted(grid.betas)
-        ]
-    if method == "lusma":
-        return [
-            {"dim": d, "k": k, "sigma": s}
-            for d in sorted(grid.dims)
-            for k in sorted(grid.ks)
-            for s in sorted(grid.sigmas)
-        ]
-    if method in ("pjdr", "lsma"):
-        return [{"dim": d} for d in sorted(grid.dims)]
-    raise ValidationError(f"grid search does not apply to method {method!r}")
+    if method not in METHOD_AXES:
+        raise ValidationError(f"grid search does not apply to method {method!r}")
+    axes = METHOD_AXES[method]
+    values = (sorted(getattr(grid, axis + "s")) for axis in axes)
+    return [dict(zip(axes, cell)) for cell in itertools.product(*values)]
 
 
 def _cv_score(ds, method, params, splits, hyper_overrides):
@@ -152,8 +141,10 @@ def grid_search(ds: PairedDataset, method, grid: GridSpec, hyper_overrides=None)
     """Mean-validation-OA maximizing cell; ties go to the earliest cell.
 
     Cells are enumerated in (dim, alpha, beta, k, sigma) order, so the first
-    maximum realizes the documented tie-break.
+    maximum realizes the documented tie-break. `baseline` has no grid.
     """
+    if method == "baseline":
+        return {"params": {}, "score": None}, []
     cells = method_grid_cells(method, grid)
     splits = kfold_split(ds.num_samples, grid.folds, grid.seed)
     table = []
@@ -199,26 +190,43 @@ def size_sensitivity(ds: PairedDataset, test_ms, test_labels, method, params,
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(config):
-    dataset = config["dataset"]
-    if "scene_spec" in dataset:
+def _load_dataset(dataset):
+    if isinstance(dataset, dict) and "scene_spec" in dataset:
+        check_keys("dataset", dataset, ("scene_spec",))
         return data.make_synthetic_scene(data.SceneSpec.from_json(dataset["scene_spec"]))
+    files = ("train_ms", "train_hs", "test_ms")
+    check_keys("dataset", dataset, files, required=files)
     ds = data.load_pairs(dataset["train_ms"], dataset["train_hs"])
     test_ms, test_labels = data.load_csv(dataset["test_ms"])
     if test_labels is None:
         raise ValidationError("test CSV carries no label column")
+    if test_ms.shape[0] != ds.ms.shape[0]:
+        raise ValidationError(f"test CSV has {test_ms.shape[0]} bands, training "
+                              f"MS has {ds.ms.shape[0]}")
     return ds, test_ms, test_labels
 
 
 def resolve_config(config):
-    """Dataset, grid and solver overrides of a `gridsearch`/`benchmark` config.
+    """Check a `gridsearch`/`benchmark` config and return (dataset, grid,
+    hyper overrides, methods, linear_lambda).
 
     A top-level `seed` overrides `grid.seed`; without either the seed is 0.
     """
-    grid = dict(config.get("grid", {}))
+    check_keys("config", config, ("dataset", "methods", "grid", "hyper", "seed",
+                                  "linear_lambda"), required=("dataset", "methods"))
+    methods = config["methods"]
+    if not isinstance(methods, list) or not methods:
+        raise ValidationError(f"config methods must be a nonempty list, got {methods!r}")
+    for method in methods:
+        _check_method(method)
+    lam = config.get("linear_lambda", 1e-3)
+    check_number("config linear_lambda", lam, Real)
+    grid = GridSpec.from_dict(config.get("grid", {}))
     if "seed" in config:
-        grid["seed"] = config["seed"]
-    return _load_dataset(config), GridSpec.from_dict(grid), config.get("hyper")
+        grid = replace(grid, seed=config["seed"])
+    # checks the override block even when no CoSpace cell is fitted
+    solver.make_hyperparams(grid.alphas[0], grid.betas[0], grid.dims[0], config.get("hyper"))
+    return _load_dataset(config["dataset"]), grid, config.get("hyper"), methods, lam
 
 
 def run_benchmark(config):
@@ -228,33 +236,18 @@ def run_benchmark(config):
     whose content is deterministic for a fixed config; wall-clock seconds are
     kept apart in `timings` so results files stay byte-reproducible.
     """
-    methods = list(config["methods"])
-    for m in methods:
-        if m not in KNOWN_METHODS:
-            raise ValidationError(
-                f"unknown method {m!r}; known methods: {', '.join(KNOWN_METHODS)}"
-            )
-    (ds, test_ms, test_labels), grid, hyper_overrides = resolve_config(config)
-    lam = float(config.get("linear_lambda", 1e-3))
-
+    (ds, test_ms, test_labels), grid, hyper_overrides, methods, lam = resolve_config(config)
     results = {"seed": grid.seed, "methods": {}}
     predictions = {}
     timings = {}
     for method in methods:
         start = time.perf_counter()
-        if method == "baseline":
-            best = {"params": {}, "score": None}
-        else:
-            best, _ = grid_search(ds, method, grid, hyper_overrides=hyper_overrides)
+        best, _ = grid_search(ds, method, grid, hyper_overrides=hyper_overrides)
         fitted = fit_method(ds, method, best["params"], hyper_overrides)
         embedded_test = fitted.embed_ms(test_ms)
-        preds = {"1nn": classify.knn1_predict(fitted.references, embedded_test)}
-        weights = classify.fit_linear(
-            fitted.references.embeddings,
-            data.onehot_encode(fitted.references.labels, ds.num_classes),
-            lam,
-        )
-        preds["linear"] = classify.linear_predict(weights, embedded_test)
+        preds = {"1nn": classify.knn1_predict(fitted.references, embedded_test),
+                 "linear": classify.linear_classify(fitted.references, embedded_test,
+                                                    ds.num_classes, lam)}
         if method == "cospace":
             preds["p"] = classify.predict_via_p(fitted.model, test_ms)
         reports = {

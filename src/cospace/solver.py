@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, svd
 
 from .data import PairedDataset, StackedSystem, atomic_write, load_json, stack_system
-from .errors import NumericalError, ValidationError, check_number
+from .errors import NumericalError, ValidationError, check_keys, check_number
 from .graph import lda_like_adjacency, pencil
 
 
@@ -58,13 +58,8 @@ def make_hyperparams(alpha, beta, dim, overrides=None) -> Hyperparams:
     repeats alpha, beta or dim is a ValidationError naming it.
     """
     overrides = {} if overrides is None else overrides
-    if not isinstance(overrides, dict):
-        raise ValidationError("hyperparameter overrides must be a JSON object")
-    allowed = {f.name for f in fields(Hyperparams)} - {"alpha", "beta", "dim"}
-    unknown = sorted(set(overrides) - allowed)
-    if unknown:
-        raise ValidationError(f"hyperparameter override {unknown[0]!r} is not one "
-                              f"of {', '.join(sorted(allowed))}")
+    check_keys("hyperparameter override", overrides,
+               {f.name for f in fields(Hyperparams)} - {"alpha", "beta", "dim"})
     return Hyperparams(alpha=alpha, beta=beta, dim=dim, **overrides)
 
 

@@ -158,4 +158,4 @@ class TestWritePgm:
 
     def test_size_mismatch(self, tmp_path):
         with pytest.raises(ValidationError):
-            classify.write_pgm(tmp_path / "map.pgm", [1, 2, 3], 2, 2)
+            classify.write_pgm(tmp_path / "map.pgm", [1, 2, 3], 2, 2, max_label=3)

@@ -211,6 +211,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: validation" in err and repr(key) in err
 
+    @pytest.mark.parametrize("change, named", [
+        pytest.param(lambda d: d["classes"][0].update(size=150.7), "class 1 size", id="size-float"),
+        pytest.param(lambda d: d["classes"][0].update(size="20"), "class 1 size", id="size-str"),
+        pytest.param(lambda d: d.update(seed=True), "seed", id="seed-bool"),
+        pytest.param(lambda d: d.update(seed=2.9), "seed", id="seed-float"),
+        pytest.param(lambda d: d.update(seed=-1), "seed", id="seed-negative"),
+        pytest.param(lambda d: d.update(noise_sigma="0.1"), "noise_sigma", id="noise-str"),
+        pytest.param(lambda d: d.update(colour=1), "'colour'", id="unknown-key"),
+        pytest.param(lambda d: d.pop("noise_sigma"), "'noise_sigma'", id="missing-key"),
+        pytest.param(lambda d: d["classes"][0].update(hs_mean="abc"), "hs_mean", id="hs-mean-str"),
+        pytest.param(lambda d: d["classes"][1].update(name="b"), "'name'", id="class-key"),
+        pytest.param(lambda d: d.update(classes=5), "classes", id="classes-int"),
+        pytest.param(lambda d: d.update(ms_centers=[True, 530.0, 610.0]), "ms_centers[0]",
+                     id="center-bool"),
+    ])
+    def test_bad_scene_is_validation(self, tmp_path, capsys, change, named):
+        spec_path = tmp_path / "scene.json"
+        doc = json.loads(_write_scene(spec_path).to_json())
+        change(doc)
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "scene")]) == 1
+        err = capsys.readouterr().err
+        assert "error: validation" in err and named in err
+        assert not (tmp_path / "scene").exists()
+
     def test_singular_system_is_numerical(self, tmp_path, capsys):
         # rank-deficient stacked data with alpha=0 makes the map update singular
         ms = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -287,6 +313,48 @@ class TestBatchCommands:
         doc = json.loads((tmp_path / "gs" / "gridsearch.json").read_text())
         assert doc["pjdr"]["best"]["params"] == {"dim": 2}
         assert doc["baseline"]["best"]["score"] is None
+
+    @pytest.mark.parametrize("change, named", [
+        pytest.param(lambda c, d: c.pop("methods"), "'methods'", id="no-methods"),
+        pytest.param(lambda c, d: c.pop("dataset"), "'dataset'", id="no-dataset"),
+        pytest.param(lambda c, d: c.update(methods="pjdr"), "methods", id="methods-str"),
+        pytest.param(lambda c, d: c.update(methods=[]), "methods", id="methods-empty"),
+        pytest.param(lambda c, d: c.update(methods=["pjdr", "x"]), "unknown method 'x'",
+                     id="method-unknown"),
+        pytest.param(lambda c, d: c.update(linear_lambda="x"), "linear_lambda",
+                     id="lambda-str"),
+        pytest.param(lambda c, d: c.update(linear_lambda=True), "linear_lambda",
+                     id="lambda-bool"),
+        pytest.param(lambda c, d: c.update(grd={}), "'grd'", id="top-level-typo"),
+        pytest.param(lambda c, d: c["grid"].update(fold=2), "'fold'", id="grid-typo"),
+        pytest.param(lambda c, d: c.update(hyper={"foo": 1}, methods=["pjdr"]), "'foo'",
+                     id="hyper-typo-without-cospace"),
+        pytest.param(lambda c, d: c.update(dataset=[]), "dataset", id="dataset-list"),
+        pytest.param(lambda c, d: c["dataset"].update(test_ms="t.csv"), "'test_ms'",
+                     id="dataset-scene-and-csv"),
+        pytest.param(lambda c, d: c.update(dataset={"train_ms": "t.csv"}), "'train_hs'",
+                     id="dataset-partial"),
+        pytest.param(lambda c, d: c.update(dataset={
+            "train_ms": str(d / "ms.csv"), "train_hs": str(d / "hs.csv"),
+            "test_ms": str(d / "test2.csv")}), "2 bands", id="test-bands"),
+    ])
+    def test_bad_config_is_the_same_validation_in_both(self, tmp_path, capsys, change,
+                                                      named):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text())
+        ms = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.1, 0.2, 0.3], [1.0, 1.0, 0.0, 0.0]])
+        data.save_csv(tmp_path / "ms.csv", ms, [1, 1, 2, 2])
+        data.save_csv(tmp_path / "hs.csv", 2 * ms, [1, 1, 2, 2])
+        data.save_csv(tmp_path / "test2.csv", ms[:2], [1, 1, 2, 2])
+        change(config, tmp_path)
+        path.write_text(json.dumps(config))
+        errors = []
+        for command in ("gridsearch", "benchmark"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "error: validation" in errors[0] and named in errors[0]
 
     def test_gridsearch_uses_the_grid_seed(self, tmp_path):
         # without a top-level seed, both batch commands score grid.seed's folds

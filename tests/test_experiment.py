@@ -51,6 +51,7 @@ class TestGridSpec:
         ({"sigmas": ["1.0"]}, "sigmas"), ({"folds": 3.5}, "folds"),
         ({"folds": "3"}, "folds"), ({"seed": 1.0}, "seed"), ({"seed": -1}, "seed"),
         ({"alphas": [float("nan")]}, "alphas"),
+        ({"dims": [2], "fold": 2}, "key 'fold'"),
     ])
     def test_from_dict_rejects_mistyped_values(self, doc, field):
         with pytest.raises(ValidationError, match=f"grid {field}"):
@@ -108,6 +109,12 @@ class TestFitMethod:
         # resubstitution accuracy on well-separated classes
         assert np.mean(pred == ds.labels) > 0.8
 
+    def test_cospace_references_are_the_models(self):
+        fitted = experiment.fit_method(_dataset(), "cospace",
+                                       {"dim": 2, "alpha": 0.1, "beta": 0.01})
+        assert np.array_equal(fitted.references.embeddings, fitted.model.ref_embeddings)
+        assert np.array_equal(fitted.references.labels, fitted.model.ref_labels)
+
 
 class TestGridCells:
     def test_cospace_cell_order(self):
@@ -151,6 +158,10 @@ class TestGridSearch:
         best, table = experiment.grid_search(ds, "lsma", SMALL_GRID)
         assert 0.0 <= best["score"] <= 1.0
         assert best["score"] == max(row["score"] for row in table)
+
+    def test_baseline_has_no_grid(self):
+        assert experiment.grid_search(_dataset(), "baseline", SMALL_GRID) == (
+            {"params": {}, "score": None}, [])
 
     def test_deterministic(self):
         ds = _dataset()
