@@ -103,7 +103,8 @@ class PairedDataset:
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Block-diagonal stacked features and duplicated one-hot targets."""
+    """Block-diagonal stacked features and duplicated one-hot targets, or (in
+    `solver.fit`) a thin factor of them with the same Grams XX^T, YX^T, YY^T."""
 
     xtilde: np.ndarray
     ytilde: np.ndarray

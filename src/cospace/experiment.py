@@ -196,6 +196,9 @@ def _load_dataset(dataset):
         return data.make_synthetic_scene(data.SceneSpec.from_json(dataset["scene_spec"]))
     files = ("train_ms", "train_hs", "test_ms")
     check_keys("dataset", dataset, files, required=files)
+    for key in files:
+        if not isinstance(dataset[key], str):
+            raise ValidationError(f"dataset {key!r} must be a path string, got {dataset[key]!r}")
     ds = data.load_pairs(dataset["train_ms"], dataset["train_hs"])
     test_ms, test_labels = data.load_csv(dataset["test_ms"])
     if test_labels is None:

@@ -297,21 +297,26 @@ def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
         )
     stacked_labels = np.concatenate([ds.labels, ds.labels])
     xlxt, _ = pencil(sys.xtilde, lda_like_adjacency(stacked_labels))
+    # with Z = [Ytilde; Xtilde] and Z^T = Q R, R^T has Z's Grams, and J, Lambda1,
+    # Ytilde and Theta Xtilde stay in Z's row space: the loop runs on R^T, free of N
+    c = sys.ytilde.shape[0]
+    r = np.linalg.qr(np.vstack([sys.ytilde, sys.xtilde]).T, mode="r")
+    factor = StackedSystem(xtilde=r[:, c:].T, ytilde=r[:, :c].T, d_m=sys.d_m, d_h=sys.d_h)
 
     theta = _pca_rows(sys.xtilde, hyper.dim)
-    p = update_p(sys.ytilde, theta @ sys.xtilde, hyper.alpha)
-    trace = [objective(sys, xlxt, p, theta, hyper).total]
+    p = update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
+    trace = [objective(factor, xlxt, p, theta, hyper).total]
     converged = False
     for _ in range(hyper.outer_max_iter):
-        p = update_p(sys.ytilde, theta @ sys.xtilde, hyper.alpha)
-        inner = solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta)
-        energy = objective(sys, xlxt, p, inner.theta, hyper).total
+        p = update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
+        inner = solve_theta_admm(p, factor, xlxt, hyper, warm_start=theta)
+        energy = objective(factor, xlxt, p, inner.theta, hyper).total
         if energy <= trace[-1]:
             theta = inner.theta
         else:
             # keep the previous feasible projection; the exact map update
             # alone cannot increase the objective
-            energy = objective(sys, xlxt, p, theta, hyper).total
+            energy = objective(factor, xlxt, p, theta, hyper).total
         prev = trace[-1]
         trace.append(energy)
         if prev <= 1e-15 or abs(energy - prev) / prev < hyper.outer_tol:
@@ -374,8 +379,19 @@ def model_to_dict(model: CoSpaceModel):
     return doc
 
 
+MODEL_KEYS = ("method", "dim", "d_m", "d_h", "num_classes", "hyper", "theta", "p",
+              "objective_trace", "converged")
+REF_KEYS = ("embeddings", "labels", "modalities")
+
+
 def model_from_dict(doc) -> CoSpaceModel:
+    check_keys("model", doc, (*MODEL_KEYS, "refs"), required=MODEL_KEYS)
+    if doc["method"] != "cospace":
+        raise ValidationError(f"model method must be 'cospace', got {doc['method']!r}")
+    check_keys("model hyper", doc["hyper"], [f.name for f in fields(Hyperparams)])
     refs = doc.get("refs")
+    if refs is not None:
+        check_keys("model refs", refs, REF_KEYS, required=REF_KEYS)
     return CoSpaceModel(
         theta=np.asarray(doc["theta"], dtype=float),
         p=np.asarray(doc["p"], dtype=float),

@@ -212,6 +212,33 @@ class TestExitCodes:
         assert "error: validation" in err and repr(key) in err
 
     @pytest.mark.parametrize("change, named", [
+        pytest.param(lambda d: d.pop("theta"), "'theta'", id="no-theta"),
+        pytest.param(lambda d: d["refs"].pop("labels"), "'labels'", id="no-ref-labels"),
+        pytest.param(lambda d: d["hyper"].update(foo=1), "'foo'", id="hyper-key"),
+        pytest.param(lambda d: d.update(method="lsma"), "method", id="method-lsma"),
+        pytest.param(lambda d: d.update(extra=1), "'extra'", id="unknown-key"),
+        pytest.param(lambda d: d.update(refs=[]), "refs", id="refs-list"),
+    ])
+    def test_bad_model_is_validation(self, tmp_path, capsys, change, named):
+        ms = np.array([[1.0, 2.0, 3.0, 4.0]])
+        data.save_csv(tmp_path / "ms.csv", ms, [1, 1, 2, 2])
+        data.save_csv(tmp_path / "hs.csv", 2 * ms, [1, 1, 2, 2])
+        model = tmp_path / "m.json"
+        assert cli.main(["fit", "--train-ms", str(tmp_path / "ms.csv"),
+                         "--train-hs", str(tmp_path / "hs.csv"), "--dim", "1",
+                         "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        change(doc)
+        model.write_text(json.dumps(doc))
+        for command in (["predict"], ["transform", "--modality", "ms"]):
+            assert cli.main([*command, "--model", str(model),
+                             "--input", str(tmp_path / "ms.csv"),
+                             "--out", str(tmp_path / "out.csv")]) == 1
+            err = capsys.readouterr().err
+            assert "error: validation" in err and named in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("change, named", [
         pytest.param(lambda d: d["classes"][0].update(size=150.7), "class 1 size", id="size-float"),
         pytest.param(lambda d: d["classes"][0].update(size="20"), "class 1 size", id="size-str"),
         pytest.param(lambda d: d.update(seed=True), "seed", id="seed-bool"),
@@ -337,6 +364,13 @@ class TestBatchCommands:
         pytest.param(lambda c, d: c.update(dataset={
             "train_ms": str(d / "ms.csv"), "train_hs": str(d / "hs.csv"),
             "test_ms": str(d / "test2.csv")}), "2 bands", id="test-bands"),
+        pytest.param(lambda c, d: c.update(dataset={
+            "train_ms": None, "train_hs": str(d / "hs.csv"),
+            "test_ms": str(d / "ms.csv")}), "'train_ms'", id="dataset-path-null"),
+        # an integer path would be opened as that file descriptor
+        pytest.param(lambda c, d: c.update(dataset={
+            "train_ms": str(d / "ms.csv"), "train_hs": str(d / "hs.csv"),
+            "test_ms": 12345}), "'test_ms'", id="dataset-path-int"),
     ])
     def test_bad_config_is_the_same_validation_in_both(self, tmp_path, capsys, change,
                                                       named):

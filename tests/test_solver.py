@@ -97,6 +97,25 @@ class TestUpdateP:
             solver.update_p(np.eye(2), np.eye(2), alpha=-1.0)
 
 
+def _fit_with_spy(monkeypatch, ds, hyper):
+    """Fit, and return the model and the system of each inner solve."""
+    seen = []
+    inner = solver.solve_theta_admm
+
+    def spy(p, sys, *args, **kwargs):
+        seen.append(sys)
+        return inner(p, sys, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "solve_theta_admm", spy)
+        model = solver.fit(ds, hyper)
+    return model, seen
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 def _j_update(p, ytilde, theta_x, lambda1, mu):
     return solver.admm_update_j(p.T @ ytilde, theta_x, lambda1, mu,
                                 solver.factor_j_system(p))
@@ -261,6 +280,29 @@ class TestSolveThetaAdmm:
         assert held_back > 0, "no later iterate was worse; nothing was selected"
         assert not out.converged
 
+    def test_factor_gives_the_same_solve(self, monkeypatch):
+        p, sys, xlxt, hyper, theta0 = self._setup()
+        _, seen = _fit_with_spy(monkeypatch, _toy_dataset(0, n_per_class=6, d_m=2, d_h=4),
+                                dataclasses.replace(hyper, outer_max_iter=1))
+        factor = seen[0]
+        assert factor.xtilde.shape[1] < sys.xtilde.shape[1]
+        full = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
+        thin = solver.solve_theta_admm(p, factor, xlxt, hyper, warm_start=theta0)
+        assert full.converged and thin.converged
+        assert thin.iterations == full.iterations
+        assert np.allclose(thin.theta, full.theta, rtol=0, atol=1e-9)
+        assert thin.primal_residual_j == pytest.approx(full.primal_residual_j, rel=1e-9)
+        assert thin.primal_residual_g == pytest.approx(full.primal_residual_g, rel=1e-9)
+        for theta in (theta0, full.theta):
+            terms = solver.objective(sys, xlxt, p, theta, hyper)
+            thin_terms = solver.objective(factor, xlxt, p, theta, hyper)
+            for name in ("fidelity", "p_reg", "align"):
+                assert getattr(thin_terms, name) == pytest.approx(getattr(terms, name),
+                                                                  rel=1e-10)
+            p_full = solver.update_p(sys.ytilde, theta @ sys.xtilde, hyper.alpha)
+            p_thin = solver.update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
+            assert _rel(p_thin, p_full) < 1e-10
+
     def test_bad_warm_start_shape(self):
         p, sys, xlxt, hyper, _ = self._setup()
         with pytest.raises(ValidationError):
@@ -318,6 +360,31 @@ class TestFit:
         assert np.array_equal(model.ref_labels,
                               np.concatenate([ds.labels, ds.labels]))
         assert set(model.ref_modalities.tolist()) == {0, 1}
+
+    @pytest.mark.parametrize("n_per_class, duplicate_band", [
+        pytest.param(8, False, id="2N>c+D"),
+        pytest.param(2, False, id="2N<c+D"),
+        pytest.param(8, True, id="duplicated-band"),
+    ])
+    def test_loop_runs_on_a_factor_with_the_same_grams(self, monkeypatch, n_per_class,
+                                                       duplicate_band):
+        ds = _toy_dataset(7, n_per_class=n_per_class)
+        if duplicate_band:  # Z = [Ytilde; Xtilde] is then rank-deficient
+            ds = PairedDataset(ms=np.vstack([ds.ms, ds.ms[:1]]), hs=ds.hs,
+                               labels=ds.labels, num_classes=ds.num_classes)
+        model, seen = _fit_with_spy(monkeypatch, ds, solver.Hyperparams(dim=2))
+        full = stack_system(ds)
+        c, d, n2 = ds.num_classes, full.xtilde.shape[0], full.xtilde.shape[1]
+        assert seen
+        for factor in seen:
+            # N-independence: at most c+D columns, whatever N is
+            assert factor.xtilde.shape == (d, min(n2, c + d))
+            assert factor.ytilde.shape == (c, min(n2, c + d))
+            for a, b in (("xtilde", "xtilde"), ("ytilde", "xtilde"), ("ytilde", "ytilde")):
+                gram = getattr(factor, a) @ getattr(factor, b).T
+                assert _rel(gram, getattr(full, a) @ getattr(full, b).T) < 1e-12
+        assert model.ref_embeddings.shape == (2, n2)
+        assert np.array_equal(model.ref_embeddings, model.theta @ full.xtilde)
 
 
 class TestEmbed:
