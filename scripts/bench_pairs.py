@@ -14,8 +14,9 @@ parent's quartiles and the number of pairs in which the change was better:
 The file is rewritten after every run, so a run that is stopped early keeps
 what it measured. An existing file is kept, and only the entries of the
 workloads measured again are replaced; a `--trace 1` entry is named
-"<workload> --trace 1". A metric's direction ("better": lower or higher) is
-read from the change's `BENCHMARK.json`.
+"<workload> --trace 1". The run length (`run_seconds`) and each metric's
+direction ("better": lower or higher) are read from the change's
+`BENCHMARK.json`, so every run of both sides is as long as the benchmark's.
 """
 
 import argparse
@@ -77,13 +78,13 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
         declared = json.load(fh)
+    seconds = declared["run_seconds"]
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
     doc = {"workloads": {}}
     if os.path.exists(args.out):
@@ -97,12 +98,12 @@ def main(argv=None):
         key = workload if args.trace == 0 else f"{workload} --trace 1"
         entry = doc["workloads"][key] = {
             "command": f"perfbench/run.py --workload {workload} --seed S "
-                       f"--seconds {args.seconds:g} --trace {args.trace}",
+                       f"--seconds {seconds:g} --trace {args.trace}",
             "order": "parent first on the 1st, 3rd, ... seed, change first on the others",
             "runs": runs}
         for i, seed in enumerate(args.seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run = run_once(dirs[side], workload, seed, args.seconds, args.trace)
+                run = run_once(dirs[side], workload, seed, seconds, args.trace)
                 runs[side].append(run)
                 print(f"{workload} seed {seed} {side}: {run['stderr'][-1:]}", file=sys.stderr)
                 entry["metrics"] = summarize(runs, better)
