@@ -5,8 +5,11 @@ For each workload and each seed, `python3 <dir>/perfbench/run.py` runs once on
 the parent checkout and once on the change, one run at a time; the parent
 runs first for the 1st, 3rd, ... seed and second for the others, so neither
 side always follows the other. The output holds
-every run's result line and, per metric, the medians of both sides, the
-parent's quartiles and the number of pairs in which the change was better:
+every run's result line; per side, the count of runs that exited non-zero,
+the count that printed `"correct": false` and the summed failed and attempted
+operations; and, per metric, the medians of both sides, the parent's quartiles
+and the number of pairs in which the change was better. The medians leave out
+every run that exited non-zero or printed `"correct": false`:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload large_fits --seeds 1 2 3 4 5 --out BENCH.json
@@ -44,12 +47,30 @@ def run_once(checkout, workload, seed, seconds, trace):
             "stderr": proc.stderr.strip().splitlines()[-3:]}
 
 
+def health(runs):
+    """Per side: runs that exited non-zero, runs that printed "correct": false,
+    and the failed and attempted operations summed over the runs that finished."""
+    out = {}
+    for side in SIDES:
+        results = [run["result"] for run in runs[side] if run["result"] is not None]
+        out[side] = {"nonzero_exit": sum(run["returncode"] != 0 for run in runs[side]),
+                     "incorrect": sum(result.get("correct") is not True for result in results),
+                     "failed": sum(result.get("failed", 0) for result in results),
+                     "attempted": sum(result.get("attempted", 0) for result in results)}
+    return out
+
+
 def summarize(runs, better):
-    """Per metric: both medians, the parent's quartiles, and the pairs won."""
+    """Per metric: both medians, the parent's quartiles, and the pairs won.
+
+    Only runs that exited 0 and printed "correct": true count.
+    """
     values = {side: {} for side in SIDES}  # side -> metric -> seed -> value
     for side in SIDES:
         for run in runs[side]:
-            for name, metric in ((run["result"] or {}).get("metrics") or {}).items():
+            if (run["result"] or {}).get("correct") is not True:
+                continue
+            for name, metric in run["result"].get("metrics", {}).items():
                 values[side].setdefault(name, {})[run["seed"]] = metric["value"]
     out = {}
     for name, parent in values["parent"].items():
@@ -106,6 +127,7 @@ def main(argv=None):
                 run = run_once(dirs[side], workload, seed, seconds, args.trace)
                 runs[side].append(run)
                 print(f"{workload} seed {seed} {side}: {run['stderr'][-1:]}", file=sys.stderr)
+                entry["health"] = health(runs)
                 entry["metrics"] = summarize(runs, better)
                 tmp = args.out + ".tmp"
                 with open(tmp, "w") as fh:

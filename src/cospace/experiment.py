@@ -13,7 +13,7 @@ import numpy as np
 from . import baselines, classify, data, solver
 from .data import PairedDataset
 from .errors import ValidationError, check_keys, check_number, check_numbers
-from .graph import knn_gaussian_adjacency, lda_like_adjacency, pencil
+from .graph import knn_graph, lda_like_adjacency, pencil
 from .metrics import MetricsReport
 
 # each projection method's grid axes; GridSpec holds axis `a`'s values as `a + "s"`
@@ -108,7 +108,7 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
         proj = baselines.fit_pjdr(sys, params["dim"])
     else:
         w = (lda_like_adjacency(stacked_labels) if method == "lsma"
-             else knn_gaussian_adjacency(sys.xtilde, params["k"], params["sigma"]))
+             else knn_graph(sys.xtilde, params["k"], params["sigma"]))
         proj = baselines.fit_lpp(sys, pencil(sys.xtilde, w), params["dim"])
     refs = classify.ReferenceSet(proj.theta @ sys.xtilde, stacked_labels)
     return FittedMethod(proj.theta_m, refs, proj)

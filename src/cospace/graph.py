@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+KNN_BLOCK_ENTRIES = 2**20  # float64 distances per kNN search block: 8 MB
+
 
 @dataclass(frozen=True)
 class JointGraph:
@@ -31,8 +33,14 @@ def lda_like_adjacency(stacked_labels):
     return w
 
 
-def knn_gaussian_adjacency(features, k, sigma):
-    """Heat-kernel kNN adjacency (union-symmetrized, Euclidean distances)."""
+def knn_graph(features, k, sigma):
+    """Heat-kernel kNN adjacency (union-symmetrized, Euclidean) as sparse CSR.
+
+    Rows are searched in blocks of about 8 MB; each row keeps its k nearest
+    columns, ties going to the lower index (the `argsort(kind="stable")` rule).
+    """
+    from scipy import sparse  # here, so that a CLI command without LUSMA does not load it
+
     features = np.asarray(features, dtype=float)
     n = features.shape[1]
     if k >= n:
@@ -42,18 +50,32 @@ def knn_gaussian_adjacency(features, k, sigma):
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     sq = np.sum(features**2, axis=0)
-    dist2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (features.T @ features), 0.0)
-    np.fill_diagonal(dist2, np.inf)
-    # ties resolved by index order via stable argsort
-    order = np.argsort(dist2, axis=1, kind="stable")[:, :k]
-    neighbor = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), k)
-    neighbor[rows, order.ravel()] = True
-    neighbor |= neighbor.T
-    dist2[~np.isfinite(dist2)] = 0.0
-    w = np.where(neighbor, np.exp(-dist2 / (2.0 * sigma**2)), 0.0)
-    np.fill_diagonal(w, 0.0)
-    return w
+    step = max(1, KNN_BLOCK_ENTRIES // n)
+    blocks = []
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        d2 = features[:, rows].T @ features
+        d2 *= -2.0
+        d2 += sq[rows, None] + sq  # then d2 = max(sq_i + sq_j - 2 f_i.f_j, 0)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2[:, start:], np.inf)
+        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]  # a copy: frees the partition
+        r, c = np.nonzero(d2 < kth)
+        # ties at the k-th distance go to the lowest indices, as in a stable argsort;
+        # nonzero lists them row by row in index order
+        tr, tc = np.nonzero(d2 == kth)
+        rank = np.arange(tr.size) - np.searchsorted(tr, tr)
+        tie = rank < k - np.bincount(r, minlength=d2.shape[0])[tr]
+        r, c = np.concatenate([r, tr[tie]]), np.concatenate([c, tc[tie]])
+        blocks.append(sparse.csr_matrix((np.exp(-d2[r, c] / (2.0 * sigma**2)), (r, c)),
+                                        shape=d2.shape))
+    w = sparse.vstack(blocks, format="csr")
+    return w.maximum(w.T)
+
+
+def knn_gaussian_adjacency(features, k, sigma):
+    """`knn_graph` as a dense array."""
+    return knn_graph(features, k, sigma).toarray()
 
 
 def laplacian(w) -> JointGraph:
@@ -81,8 +103,14 @@ def pencil(xtilde, w):
 
     The only place where an adjacency becomes matrices: CoSpace's alignment
     term and the LPP baselines see a graph through these D x D products alone.
+    A scipy.sparse `w`, such as a `knn_graph`, must be symmetric and is never
+    densified; a dense one is checked and symmetrized by `laplacian`.
     """
     xtilde = np.asarray(xtilde, dtype=float)
+    if hasattr(w, "tocsr"):  # scipy.sparse, tested without importing it
+        deg = w @ np.ones(w.shape[0])
+        b = (xtilde * deg) @ xtilde.T
+        return b - xtilde @ (w @ xtilde.T), b
     g = laplacian(w)
     if g.w.shape[0] != xtilde.shape[1]:
         raise ValidationError("graph size does not match the stacked sample count")

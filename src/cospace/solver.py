@@ -384,26 +384,47 @@ MODEL_KEYS = ("method", "dim", "d_m", "d_h", "num_classes", "hyper", "theta", "p
 REF_KEYS = ("embeddings", "labels", "modalities")
 
 
+def _model_array(name, value, shape, kind=Real):
+    """`value` as an array, or a ValidationError unless it is a nested list of
+    finite `kind` numbers of `shape` (None matches any nonzero length)."""
+    arr = np.array(value, dtype=object)
+    if arr.ndim != len(shape) or arr.size == 0 or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape)):
+        want = " x ".join("n" if length is None else str(length) for length in shape)
+        raise ValidationError(f"model {name} must be a {want} array, got shape {arr.shape}")
+    for v in arr.flat:
+        check_number(f"model {name} entry", v, kind)
+    return arr.astype(float if kind is Real else int)
+
+
 def model_from_dict(doc) -> CoSpaceModel:
     check_keys("model", doc, (*MODEL_KEYS, "refs"), required=MODEL_KEYS)
     if doc["method"] != "cospace":
         raise ValidationError(f"model method must be 'cospace', got {doc['method']!r}")
     check_keys("model hyper", doc["hyper"], [f.name for f in fields(Hyperparams)])
-    refs = doc.get("refs")
+    for key in ("dim", "d_m", "d_h", "num_classes"):
+        check_number(f"model {key}", doc[key], Integral)
+        if doc[key] < 1:
+            raise ValidationError(f"model {key} must be positive, got {doc[key]}")
+    refs, emb, labels, modalities = doc.get("refs"), None, None, None
     if refs is not None:
         check_keys("model refs", refs, REF_KEYS, required=REF_KEYS)
+        emb = _model_array("refs.embeddings", refs["embeddings"], (doc["dim"], None))
+        labels = _model_array("refs.labels", refs["labels"], emb.shape[1:], Integral)
+        modalities = _model_array("refs.modalities", refs["modalities"], emb.shape[1:],
+                                  Integral)
     return CoSpaceModel(
-        theta=np.asarray(doc["theta"], dtype=float),
-        p=np.asarray(doc["p"], dtype=float),
-        d_m=int(doc["d_m"]),
-        d_h=int(doc["d_h"]),
-        num_classes=int(doc["num_classes"]),
+        theta=_model_array("theta", doc["theta"], (doc["dim"], doc["d_m"] + doc["d_h"])),
+        p=_model_array("p", doc["p"], (doc["num_classes"], doc["dim"])),
+        d_m=doc["d_m"],
+        d_h=doc["d_h"],
+        num_classes=doc["num_classes"],
         hyper=Hyperparams(**doc["hyper"]),
         objective_trace=tuple(doc["objective_trace"]),
         converged=bool(doc["converged"]),
-        ref_embeddings=None if refs is None else np.asarray(refs["embeddings"], dtype=float),
-        ref_labels=None if refs is None else np.asarray(refs["labels"], dtype=int),
-        ref_modalities=None if refs is None else np.asarray(refs["modalities"], dtype=int),
+        ref_embeddings=emb,
+        ref_labels=labels,
+        ref_modalities=modalities,
     )
 
 

@@ -218,6 +218,13 @@ class TestExitCodes:
         pytest.param(lambda d: d.update(method="lsma"), "method", id="method-lsma"),
         pytest.param(lambda d: d.update(extra=1), "'extra'", id="unknown-key"),
         pytest.param(lambda d: d.update(refs=[]), "refs", id="refs-list"),
+        pytest.param(lambda d: d.update(theta="abc"), "theta", id="theta-string"),
+        pytest.param(lambda d: d.update(theta=[row[:-1] for row in d["theta"]]), "theta",
+                     id="theta-narrow"),
+        pytest.param(lambda d: d.update(p=d["p"] + d["p"][:1]), "model p", id="p-shape"),
+        pytest.param(lambda d: d.update(d_m="1"), "d_m", id="d_m-string"),
+        pytest.param(lambda d: d["refs"]["labels"].__setitem__(0, "1"), "refs.labels",
+                     id="ref-labels-string"),
     ])
     def test_bad_model_is_validation(self, tmp_path, capsys, change, named):
         ms = np.array([[1.0, 2.0, 3.0, 4.0]])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ class TestFitMethod:
                                        {"dim": 2, "alpha": 0.1, "beta": 0.01})
         assert np.array_equal(fitted.references.embeddings, fitted.model.ref_embeddings)
         assert np.array_equal(fitted.references.labels, fitted.model.ref_labels)
+
+    def test_lusma_makes_no_square_array(self):
+        # 1,000 pairs: one (2N)^2 float64 array would take 32 MB; numpy reports
+        # its buffers to tracemalloc
+        ds = _dataset(n_per_class=200, d_m=10, d_h=60, num_classes=5)
+        tracemalloc.start()
+        try:
+            experiment.fit_method(ds, "lusma", {"dim": 20, "k": 10, "sigma": 2.0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000**2 * 8
 
 
 class TestGridCells:

@@ -15,6 +15,18 @@ def _assert_pencil_matches_dense(x, w):
     np.testing.assert_allclose(b, x @ g.d @ x.T, rtol=1e-12, atol=0)
 
 
+def _knn_oracle(x, k, sigma):
+    """Dense kNN graph: squared distances from differences, each row's first k
+    columns of a stable argsort, then the union of both directions."""
+    d2 = np.sum((x[:, :, None] - x[:, None, :]) ** 2, axis=0)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    nbr = np.zeros(d2.shape, dtype=bool)
+    nbr[np.arange(d2.shape[0])[:, None], order] = True
+    nbr |= nbr.T
+    return np.where(nbr, np.exp(-np.where(nbr, d2, 0.0) / (2.0 * sigma**2)), 0.0)
+
+
 def _brute_lda(labels):
     """Independent O(n^2) construction of the supervised adjacency."""
     labels = np.asarray(labels)
@@ -102,6 +114,33 @@ class TestKnnGaussianAdjacency:
         w = graph.knn_gaussian_adjacency(feats, k=5, sigma=0.7)
         assert np.all(w >= 0) and np.all(w <= 1)
         assert np.all(np.diag(w) == 0)
+
+
+class TestKnnGraph:
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "duplicated", "grid"]), n=st.integers(2, 30),
+           d=st.integers(1, 4), k_frac=st.floats(0, 1), sigma=st.sampled_from([0.5, 1.0, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_stable_argsort_rule(self, block_rows, seed, kind, n, d, k_frac, sigma):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            x = rng.standard_normal((d, n))
+        elif kind == "duplicated":  # quarter steps: every distance is exact, many are 0
+            distinct = rng.integers(-4, 5, (d, max(1, n // 3))) / 4.0
+            x = distinct[:, rng.integers(0, distinct.shape[1], n)]
+        else:  # integer grid: many equal distances
+            x = rng.integers(0, 3, (d, n)).astype(float)
+        k = 1 + int(k_frac * (n - 2))
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:  # several blocks, the last one ragged
+                mp.setattr(graph, "KNN_BLOCK_ENTRIES", block_rows * n)
+            w = graph.knn_graph(x, k, sigma)
+        dense = _knn_oracle(x, k, sigma)
+        assert np.array_equal(w.toarray() > 0, dense > 0)
+        np.testing.assert_allclose(w.toarray(), dense, rtol=1e-12, atol=0)
+        for got, want in zip(graph.pencil(x, w), graph.pencil(x, dense)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 class TestLaplacian:
