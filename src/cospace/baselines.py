@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .data import StackedSystem
 from .errors import NumericalError, ValidationError
@@ -65,6 +64,7 @@ def fit_pjdr(sys: StackedSystem, d) -> LinearProjection:
 
 def fit_lpp(sys: StackedSystem, pencil, d) -> LinearProjection:
     """Smallest-eigenvalue solutions of the pencil (X L X^T, X D X^T)."""
+    from scipy.linalg import eigh  # here, so that a CLI command without a fit does not load it
     a, b = pencil
     a = 0.5 * (a + a.T)
     b = 0.5 * (b + b.T)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import atomic_write, onehot_encode
 from .errors import NumericalError, ValidationError
@@ -50,6 +49,7 @@ def fit_linear(embeddings, onehot, lam):
 
     Returns a num_classes x (d+1) weight matrix; the last column is the bias.
     """
+    from scipy.linalg import cho_factor, cho_solve  # here, so that 1-NN does not load them
     if lam <= 0:
         raise ValidationError("lambda must be positive")
     embeddings = np.asarray(embeddings, dtype=float)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-KNN_BLOCK_ENTRIES = 2**20  # float64 distances per kNN search block: 8 MB
+KNN_BLOCK_ENTRIES = 2**20  # float64 entries per kNN search block or pencil check tile: 8 MB
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,8 @@ def knn_gaussian_adjacency(features, k, sigma):
 
 
 def laplacian(w) -> JointGraph:
-    """Combinatorial Laplacian L = D - W from a symmetric adjacency."""
+    """Combinatorial Laplacian L = D - W from a symmetric adjacency: a dense
+    reference for tests and the benchmark's checks, which `pencil` does not call."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("adjacency must be square")
@@ -104,15 +105,29 @@ def pencil(xtilde, w):
     The only place where an adjacency becomes matrices: CoSpace's alignment
     term and the LPP baselines see a graph through these D x D products alone.
     A scipy.sparse `w`, such as a `knn_graph`, must be symmetric and is never
-    densified; a dense one is checked and symmetrized by `laplacian`.
+    densified. A dense one is checked in tiles and read in place, so no second
+    (2N)^2 array is made; its D counts no self-loops, as in `laplacian`.
     """
     xtilde = np.asarray(xtilde, dtype=float)
     if hasattr(w, "tocsr"):  # scipy.sparse, tested without importing it
         deg = w @ np.ones(w.shape[0])
         b = (xtilde * deg) @ xtilde.T
         return b - xtilde @ (w @ xtilde.T), b
-    g = laplacian(w)
-    if g.w.shape[0] != xtilde.shape[1]:
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValidationError("adjacency must be square")
+    side = int(KNN_BLOCK_ENTRIES**0.5)  # square tiles: a transposed one stays in cache
+    for i in range(0, w.shape[0], side):
+        for j in range(i, w.shape[0], side):  # each upper tile against its mirror
+            tile, mirror = w[i:i + side, j:j + side], w[j:j + side, i:i + side].T
+            if np.max(np.abs(tile - mirror)) > 1e-12:
+                raise ValidationError("adjacency must be symmetric within 1e-12")
+            if min(tile.min(), mirror.min()) < 0:
+                raise ValidationError("adjacency weights must be nonnegative")
+    if w.shape[0] != xtilde.shape[1]:
         raise ValidationError("graph size does not match the stacked sample count")
-    deg = np.diag(g.d)
-    return xtilde @ g.lap @ xtilde.T, (xtilde * deg) @ xtilde.T
+    # W's diagonal cancels in L = D - W. (X W) X^T, not X (W X^T): the latter's
+    # transposed gemm slowed the fit's later BLAS calls under default threads
+    deg = w.sum(axis=1)
+    a = (xtilde * deg) @ xtilde.T - (xtilde @ w) @ xtilde.T
+    return a, (xtilde * (deg - np.diagonal(w))) @ xtilde.T

@@ -13,10 +13,9 @@ from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, svd
 
 from .data import PairedDataset, StackedSystem, atomic_write, load_json, stack_system
-from .errors import NumericalError, ValidationError, check_keys, check_number
+from .errors import NumericalError, ValidationError, check_keys, check_number, check_numbers
 from .graph import lda_like_adjacency, pencil
 
 
@@ -143,6 +142,7 @@ def objective(sys: StackedSystem, xlxt, p, theta, hyper) -> ObjectiveBreakdown:
 
 def update_p(ytilde, q, alpha):
     """Ridge solution P = (Y Q^T)(Q Q^T + alpha I)^-1."""
+    from scipy.linalg import cho_factor, cho_solve  # here, so that `predict` does not load them
     if alpha < 0:
         raise ValidationError("alpha must be nonnegative")
     gram = q @ q.T
@@ -171,6 +171,7 @@ def factor_theta_system(xxt, xlxt):
     V^T (X X^T + I) V = I and V^T X L X^T V = diag(lam), so
     (mu (X X^T + I) + beta X L X^T)^-1 = V diag(1/(mu + beta lam)) V^T.
     """
+    from scipy.linalg import eigh
     return eigh(xlxt, xxt + np.eye(xxt.shape[0]))
 
 
@@ -272,6 +273,7 @@ def solve_theta_admm(p, sys: StackedSystem, xlxt, hyper: Hyperparams,
 
 def _pca_rows(xtilde, dim):
     """Top-`dim` left singular directions of the stacked data, as rows."""
+    from scipy.linalg import svd
     # the full left basis is only needed when dim exceeds the economy width
     full = dim > min(xtilde.shape)
     u, _, _ = svd(xtilde, full_matrices=full)
@@ -406,6 +408,9 @@ def model_from_dict(doc) -> CoSpaceModel:
         check_number(f"model {key}", doc[key], Integral)
         if doc[key] < 1:
             raise ValidationError(f"model {key} must be positive, got {doc[key]}")
+    check_numbers("model objective_trace", doc["objective_trace"], Real)
+    if not isinstance(doc["converged"], bool):
+        raise ValidationError(f"model converged must be true or false, got {doc['converged']!r}")
     refs, emb, labels, modalities = doc.get("refs"), None, None, None
     if refs is not None:
         check_keys("model refs", refs, REF_KEYS, required=REF_KEYS)
@@ -421,7 +426,7 @@ def model_from_dict(doc) -> CoSpaceModel:
         num_classes=doc["num_classes"],
         hyper=Hyperparams(**doc["hyper"]),
         objective_trace=tuple(doc["objective_trace"]),
-        converged=bool(doc["converged"]),
+        converged=doc["converged"],
         ref_embeddings=emb,
         ref_labels=labels,
         ref_modalities=modalities,

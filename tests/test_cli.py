@@ -225,6 +225,10 @@ class TestExitCodes:
         pytest.param(lambda d: d.update(d_m="1"), "d_m", id="d_m-string"),
         pytest.param(lambda d: d["refs"]["labels"].__setitem__(0, "1"), "refs.labels",
                      id="ref-labels-string"),
+        pytest.param(lambda d: d.update(objective_trace=5), "objective_trace", id="trace-int"),
+        pytest.param(lambda d: d.update(objective_trace="abc"), "objective_trace",
+                     id="trace-string"),
+        pytest.param(lambda d: d.update(converged="no"), "converged", id="converged-string"),
     ])
     def test_bad_model_is_validation(self, tmp_path, capsys, change, named):
         ms = np.array([[1.0, 2.0, 3.0, 4.0]])

@@ -206,3 +206,52 @@ class TestLaplacian:
         brute = 0.5 * float(np.sum(w * np.sum(diffs**2, axis=0)))
         assert float(np.trace(f @ g.lap @ f.T)) == pytest.approx(brute, abs=1e-9)
         _assert_pencil_matches_dense(f, w)
+
+
+class TestDensePencil:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nonzero_diagonal_cancels(self, seed):
+        # laplacian drops self-loops: pencil's D must not count them, and its L cancels them
+        rng = np.random.default_rng(seed)
+        w = rng.random((12, 12))
+        w = 0.5 * (w + w.T) + np.diag(rng.random(12) + 1.0)
+        _assert_pencil_matches_dense(rng.standard_normal((4, 12)), w)
+
+    @pytest.mark.parametrize("side", [1, 3, 4])
+    @pytest.mark.parametrize("fault", ["upper", "lower", "corner", "negative", "negative-diag",
+                                       "negative-below-tol"])
+    def test_fault_in_the_last_tile_rejected(self, side, fault):
+        n = 10
+        w = np.ones((n, n)) - np.eye(n)
+        if fault == "upper":
+            w[0, n - 1] += 1e-9
+        elif fault == "lower":
+            w[n - 1, 0] += 1e-9
+        elif fault == "corner":
+            w[n - 1, n - 2] += 1e-9
+        elif fault == "negative":
+            w[n - 1, 0] = w[0, n - 1] = -0.5
+        elif fault == "negative-diag":
+            w[n - 1, n - 1] = -1.0
+        else:  # symmetric within 1e-12, yet below zero on one side
+            w[n - 1, 0], w[0, n - 1] = -1e-13, 0.0
+        x = np.ones((2, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "KNN_BLOCK_ENTRIES", side * side)
+            graph.pencil(x, np.ones((n, n)) - np.eye(n))
+            with pytest.raises(ValidationError):
+                graph.pencil(x, w)
+
+    def test_makes_no_second_square_array(self):
+        import tracemalloc
+
+        n = 3000
+        w = graph.lda_like_adjacency(np.arange(n) % 7)
+        x = np.random.default_rng(0).standard_normal((50, n))
+        tracemalloc.start()
+        try:
+            graph.pencil(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * w.nbytes, f"peak {peak / 2**20:.1f} MiB"
