@@ -4,9 +4,10 @@
 For each workload and each seed, `python3 <dir>/perfbench/run.py` runs once on
 the parent checkout and once on the change, one run at a time; the parent
 runs first for the 1st, 3rd, ... seed and second for the others, so neither
-side always follows the other. The output holds
-every run's result line; per side, the count of runs that exited non-zero,
-the count that printed `"correct": false` and the summed failed and attempted
+side always follows the other. The output holds the size of each OpenBLAS
+thread pool that numpy and scipy load (`environment.blas_threads`); every
+run's result line; per side, the count of runs that exited non-zero, the
+count that printed `"correct": false` and the summed failed and attempted
 operations; and, per metric, the medians of both sides, the parent's quartiles
 and the number of pairs in which the change was better. The medians leave out
 every run that exited non-zero or printed `"correct": false`:
@@ -111,9 +112,13 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
+    sys.path.insert(0, os.path.join(dirs["change"], "src"))
+    from cospace import blas  # the change's helper reads each loaded pool's size
+
     doc["environment"] = {"python": platform.python_version(), "numpy": np.__version__,
                           "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-                          "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+                          "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                          "blas_threads": blas.thread_counts()}
     for workload in args.workload:
         runs = {side: [] for side in SIDES}
         key = workload if args.trace == 0 else f"{workload} --trace 1"

@@ -6,16 +6,9 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical error,
 
 from __future__ import annotations
 
-import os
-
-# honor the thread cap before any numerics are loaded
-if os.environ.get("COSPACE_THREADS"):
-    _cap = os.environ["COSPACE_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
-
 import argparse
 import json
+import os
 import sys
 
 from . import classify, data, experiment, solver

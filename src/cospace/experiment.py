@@ -11,6 +11,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import baselines, classify, data, solver
+from .blas import single_thread
 from .data import PairedDataset
 from .errors import ValidationError, check_keys, check_number, check_numbers
 from .graph import knn_graph, lda_like_adjacency, pencil
@@ -94,8 +95,9 @@ class FittedMethod:
         return self.theta_m @ np.asarray(x, dtype=float)
 
 
+@single_thread()
 def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> FittedMethod:
-    """Train one method and package its MS projection and reference set."""
+    """Train one method, on one BLAS thread, and package its MS projection and references."""
     _check_method(method)
     if method == "baseline":
         return FittedMethod(np.eye(ds.ms.shape[0]), classify.ReferenceSet(ds.ms, ds.labels))

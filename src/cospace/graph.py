@@ -126,8 +126,8 @@ def pencil(xtilde, w):
                 raise ValidationError("adjacency weights must be nonnegative")
     if w.shape[0] != xtilde.shape[1]:
         raise ValidationError("graph size does not match the stacked sample count")
-    # W's diagonal cancels in L = D - W. (X W) X^T, not X (W X^T): the latter's
-    # transposed gemm slowed the fit's later BLAS calls under default threads
+    # W's diagonal cancels in L = D - W. On a fit's one BLAS thread (X W) X^T and
+    # X (W X^T) take the same time; (X W) X^T is kept so that outputs do not move
     deg = w.sum(axis=1)
     a = (xtilde * deg) @ xtilde.T - (xtilde @ w) @ xtilde.T
     return a, (xtilde * (deg - np.diagonal(w))) @ xtilde.T

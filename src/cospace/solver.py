@@ -14,6 +14,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from .blas import single_thread
 from .data import PairedDataset, StackedSystem, atomic_write, load_json, stack_system
 from .errors import NumericalError, ValidationError, check_keys, check_number, check_numbers
 from .graph import lda_like_adjacency, pencil
@@ -280,13 +281,15 @@ def _pca_rows(xtilde, dim):
     return u[:, :dim].T
 
 
+@single_thread()
 def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
     """Alternate the ridge map update and the ADMM projection solve.
 
     Stops when the relative objective change drops below `outer_tol`; that
     test alone sets the model's `converged`. The reported projection is always
     the feasible SVD-projected iterate, so a candidate that fails to decrease
-    the objective is rejected (descent guard).
+    the objective is rejected (descent guard). Runs on one BLAS thread, so the
+    result does not depend on the thread count.
     """
     if ds.num_classes < 2:
         raise ValidationError("training data must contain at least 2 classes")

@@ -432,8 +432,6 @@ class TestConsoleScript:
     def test_entry_point_and_thread_cap(self, tmp_path):
         import subprocess
 
-        env = dict(__import__("os").environ, COSPACE_THREADS="1")
-        out = subprocess.run(["cospace", "--help"], capture_output=True,
-                             text=True, env=env)
+        out = subprocess.run(["cospace", "--help"], capture_output=True, text=True)
         assert out.returncode == 0
         assert "simulate" in out.stdout and "benchmark" in out.stdout
