@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-KNN_BLOCK_ENTRIES = 2**20  # float64 entries per kNN search block or pencil check tile: 8 MB
+KNN_BLOCK_ENTRIES = 2**20  # float64 entries per kNN search block or pencil strip: 8 MB
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def pencil(xtilde, w):
     The only place where an adjacency becomes matrices: CoSpace's alignment
     term and the LPP baselines see a graph through these D x D products alone.
     A scipy.sparse `w`, such as a `knn_graph`, must be symmetric and is never
-    densified. A dense one is checked in tiles and read in place, so no second
+    densified. A dense one is checked and read in row strips, so no second
     (2N)^2 array is made; its D counts no self-loops, as in `laplacian`.
     """
     xtilde = np.asarray(xtilde, dtype=float)
@@ -116,18 +116,25 @@ def pencil(xtilde, w):
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("adjacency must be square")
-    side = int(KNN_BLOCK_ENTRIES**0.5)  # square tiles: a transposed one stays in cache
-    for i in range(0, w.shape[0], side):
-        for j in range(i, w.shape[0], side):  # each upper tile against its mirror
-            tile, mirror = w[i:i + side, j:j + side], w[j:j + side, i:i + side].T
-            if np.max(np.abs(tile - mirror)) > 1e-12:
-                raise ValidationError("adjacency must be symmetric within 1e-12")
-            if min(tile.min(), mirror.min()) < 0:
-                raise ValidationError("adjacency weights must be nonnegative")
-    if w.shape[0] != xtilde.shape[1]:
+    n = w.shape[0]
+    if n != xtilde.shape[1]:
         raise ValidationError("graph size does not match the stacked sample count")
-    # W's diagonal cancels in L = D - W. On a fit's one BLAS thread (X W) X^T and
-    # X (W X^T) take the same time; (X W) X^T is kept so that outputs do not move
-    deg = w.sum(axis=1)
-    a = (xtilde * deg) @ xtilde.T - (xtilde @ w) @ xtilde.T
-    return a, (xtilde * (deg - np.diagonal(w))) @ xtilde.T
+    # X L X^T as (X L) X^T, L formed as in `laplacian` one row strip at a time:
+    # X D X^T - X W X^T would cancel at D x D and lose the digits of small entries
+    step = max(1, KNN_BLOCK_ENTRIES // max(n, 1))
+    deg = np.empty(n)
+    xl = np.empty_like(xtilde)
+    for j in range(0, n, step):
+        rows = w[j:j + step]
+        for k in range(j, n, step):  # the strip's upper blocks against their mirrors
+            if np.max(np.abs(rows[:, k:k + step] - w[k:k + step, j:j + step].T)) > 1e-12:
+                raise ValidationError("adjacency must be symmetric within 1e-12")
+        if rows.min() < 0:
+            raise ValidationError("adjacency weights must be nonnegative")
+        strip = rows.copy()  # -L's rows: W with the negated degrees on the diagonal
+        diag = (np.arange(strip.shape[0]), np.arange(j, j + strip.shape[0]))
+        strip[diag] = 0.0
+        deg[j:j + step] = strip.sum(axis=1)
+        strip[diag] = -deg[j:j + step]
+        np.negative(xtilde @ strip.T, out=xl[:, j:j + step])  # L is symmetric
+    return xl @ xtilde.T, (xtilde * deg) @ xtilde.T

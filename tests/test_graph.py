@@ -209,6 +209,26 @@ class TestLaplacian:
 
 
 class TestDensePencil:
+    @pytest.mark.parametrize("seed", [648, 2774, 4693])
+    def test_small_entries_keep_their_digits(self, seed):
+        # draws of test_quadratic_form_property where X diag(W 1) X^T - (X W) X^T
+        # cancels at D x D and misses the Laplacian product by 2.5e-12 to 3e-8
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        w = rng.random((n, n))
+        w = 0.5 * (w + w.T)
+        np.fill_diagonal(w, 0.0)
+        _assert_pencil_matches_dense(rng.standard_normal((2, n)), w)
+
+    @pytest.mark.parametrize("rows", [1, 5, 12])
+    def test_strips_match_dense_laplacian(self, rows):
+        rng = np.random.default_rng(rows)
+        w = rng.random((12, 12))
+        w = 0.5 * (w + w.T) + np.diag(rng.random(12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "KNN_BLOCK_ENTRIES", rows * 12)
+            _assert_pencil_matches_dense(rng.standard_normal((4, 12)), w)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_nonzero_diagonal_cancels(self, seed):
         # laplacian drops self-loops: pencil's D must not count them, and its L cancels them
@@ -236,8 +256,8 @@ class TestDensePencil:
         else:  # symmetric within 1e-12, yet below zero on one side
             w[n - 1, 0], w[0, n - 1] = -1e-13, 0.0
         x = np.ones((2, n))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "KNN_BLOCK_ENTRIES", side * side)
+        with pytest.MonkeyPatch.context() as mp:  # strips of `side` rows; the last is ragged
+            mp.setattr(graph, "KNN_BLOCK_ENTRIES", side * n)
             graph.pencil(x, np.ones((n, n)) - np.eye(n))
             with pytest.raises(ValidationError):
                 graph.pencil(x, w)
