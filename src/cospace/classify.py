@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .data import atomic_write, onehot_encode
 from .errors import NumericalError, ValidationError
 
@@ -38,9 +39,13 @@ def knn1_predict(ref: ReferenceSet, queries):
         )
     r2 = np.sum(ref.embeddings**2, axis=0)
     q2 = np.sum(queries**2, axis=0)
-    dist2 = r2[:, None] + q2[None, :] - 2.0 * (ref.embeddings.T @ queries)
-    # argmin returns the first minimum, which is the tie rule
-    nearest = np.argmin(dist2, axis=0)
+    step = max(1, graph.KNN_BLOCK_ENTRIES // r2.size)  # query columns per 8 MB block
+    nearest = np.empty(q2.size, dtype=np.intp)
+    for j in range(0, q2.size, step):
+        cols = slice(j, j + step)
+        dist2 = r2[:, None] + q2[None, cols] - 2.0 * (ref.embeddings.T @ queries[:, cols])
+        # argmin returns the first minimum, which is the tie rule
+        nearest[cols] = np.argmin(dist2, axis=0)
     return ref.labels[nearest]
 
 
@@ -49,7 +54,6 @@ def fit_linear(embeddings, onehot, lam):
 
     Returns a num_classes x (d+1) weight matrix; the last column is the bias.
     """
-    from scipy.linalg import cho_factor, cho_solve  # here, so that 1-NN does not load them
     if lam <= 0:
         raise ValidationError("lambda must be positive")
     embeddings = np.asarray(embeddings, dtype=float)
@@ -62,10 +66,10 @@ def fit_linear(embeddings, onehot, lam):
     reg[d, d] = 0.0
     system = z @ z.T + reg
     try:
-        factor = cho_factor(system)
+        factor = np.linalg.cholesky(system)  # system = factor @ factor.T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linear classifier normal equations failed: {exc}") from exc
-    return cho_solve(factor, (onehot @ z.T).T).T
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, (onehot @ z.T).T)).T
 
 
 def linear_predict(weights, queries):

@@ -111,8 +111,8 @@ def pencil(xtilde, w):
     xtilde = np.asarray(xtilde, dtype=float)
     if hasattr(w, "tocsr"):  # scipy.sparse, tested without importing it
         deg = w @ np.ones(w.shape[0])
-        b = (xtilde * deg) @ xtilde.T
-        return b - xtilde @ (w @ xtilde.T), b
+        # L X^T at N x D, as the dense strips do: a D x D difference would cancel
+        return xtilde @ (deg[:, None] * xtilde.T - w @ xtilde.T), (xtilde * deg) @ xtilde.T
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("adjacency must be square")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cospace import classify, solver
+from cospace import classify, graph, solver
 from cospace.data import PairedDataset, onehot_encode
 from cospace.errors import ValidationError
 
@@ -54,6 +54,68 @@ class TestKnn1:
         refs = _refs([[0.0, 1.0]], [1, 2])
         with pytest.raises(ValidationError):
             classify.knn1_predict(refs, np.zeros((2, 1)))
+
+
+class TestKnn1Blocks:
+    """Queries are scored in blocks of `graph.KNN_BLOCK_ENTRIES // N_ref` columns;
+    the labels must be those of one brute-force search over all of them."""
+
+    @staticmethod
+    def _oracle(refs, queries):
+        from scipy.spatial.distance import cdist
+
+        return refs.labels[np.argmin(cdist(refs.embeddings.T, queries.T), axis=0)]
+
+    @staticmethod
+    def _blocked(refs, queries, block):
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(graph, "KNN_BLOCK_ENTRIES", block * refs.embeddings.shape[1])
+            return classify.knn1_predict(refs, queries)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])  # 23 queries: the last block ragged
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    def test_matches_brute_force(self, block, kind):
+        rng = np.random.default_rng(7)
+        if kind == "random":
+            emb, queries = rng.standard_normal((3, 10)), rng.standard_normal((3, 23))
+        else:  # quarter steps: every distance is exact, and many tie
+            emb, queries = rng.integers(-4, 5, (2, 10)) / 4.0, rng.integers(-4, 5, (2, 23)) / 4.0
+        refs = _refs(emb, np.arange(1, 11))
+        pred = self._blocked(refs, queries, block)
+        assert np.array_equal(pred, self._oracle(refs, queries))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_duplicate_references_tie_to_the_lowest_index(self, block):
+        emb = np.array([[0.0, 1.0, 2.0, 3.0, 1.0, 0.0, 3.0, 2.0],
+                        [0.0, 0.5, 1.0, 1.5, 0.5, 0.0, 1.5, 1.0]])  # 4..7 repeat 1, 0, 3, 2
+        refs = _refs(emb, np.arange(1, 9))
+        queries = emb[:, [1, 4, 0, 5, 7, 2, 6, 3, 1]]  # both copies of each reference
+        pred = self._blocked(refs, queries, block)  # copies fall on both sides of block edges
+        assert pred.tolist() == [2, 2, 1, 1, 3, 3, 4, 4, 2]
+        assert np.array_equal(pred, self._oracle(refs, queries))
+
+    @pytest.mark.parametrize("block", [1, None])
+    def test_single_query(self, block):
+        refs = _refs([[0.0, 2.0, 0.0], [0.0, 2.0, 0.0]], [5, 6, 7])
+        assert self._blocked(refs, np.array([[0.5], [0.5]]), block).tolist() == [5]
+
+    def test_memory_is_one_block(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        refs = _refs(rng.standard_normal((4, 200)), np.arange(200) % 3)
+        queries = rng.standard_normal((4, 10_000))
+        full = 8 * 200 * queries.shape[1]  # one N_ref x N_query float64 matrix
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "KNN_BLOCK_ENTRIES", 200 * 500)
+            tracemalloc.start()
+            try:
+                classify.knn1_predict(refs, queries)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.25 * full, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestLinear:

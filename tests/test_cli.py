@@ -1,10 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cospace import classify, cli, data, experiment, solver
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _write_scene(path, seed=3):
@@ -90,6 +96,30 @@ class TestPipeline:
                              "--input", str(scene_dir / "test_ms.csv"),
                              "--classifier", clf, "--out", str(out)]) == 0
             assert out.read_text().startswith("index,label\n")
+
+    def test_predict_loads_no_scipy(self, tmp_path):
+        spec_path = tmp_path / "scene.json"
+        _write_scene(spec_path)
+        scene_dir = tmp_path / "scene"
+        cli.main(["simulate", "--spec", str(spec_path), "--out", str(scene_dir)])
+        model_path = tmp_path / "model.json"
+        cli.main(["fit", "--train-ms", str(scene_dir / "train_ms.csv"),
+                  "--train-hs", str(scene_dir / "train_hs.csv"),
+                  "--dim", "3", "--out", str(model_path)])
+        script = ("import sys\n"
+                  "from cospace import cli\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        for clf in ("1nn", "linear", "p"):
+            out = subprocess.run(
+                [sys.executable, "-c", script, "predict", "--model", str(model_path),
+                 "--input", str(scene_dir / "test_ms.csv"), "--classifier", clf,
+                 "--out", str(tmp_path / f"pred_{clf}.csv")],
+                env=env, capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.splitlines()[-1] == "[]", (clf, out.stdout)
 
     def test_predict_pgm(self, tmp_path):
         spec_path = tmp_path / "scene.json"
@@ -430,8 +460,6 @@ class TestConsoleScript:
                "install it with `pip install -e . --no-build-isolation`",
     )
     def test_entry_point_and_thread_cap(self, tmp_path):
-        import subprocess
-
         out = subprocess.run(["cospace", "--help"], capture_output=True, text=True)
         assert out.returncode == 0
         assert "simulate" in out.stdout and "benchmark" in out.stdout

@@ -39,6 +39,33 @@ def _brute_lda(labels):
     return w
 
 
+# draws of test_quadratic_form_property where X diag(W 1) X^T - X W X^T
+# cancels at D x D and misses the Laplacian product by 2.5e-12 to 3.1e-8
+CANCELLING_DRAWS = [648, 1115, 1223, 1617, 1717, 2006, 2774, 3178, 4693]
+
+
+def _quadratic_form_draw(seed):
+    """(X, W) as test_quadratic_form_property draws them from `seed`."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    w = rng.random((n, n))
+    w = 0.5 * (w + w.T)
+    np.fill_diagonal(w, 0.0)
+    return rng.standard_normal((2, n)), w
+
+
+def _exact_laplacian_form(x, w):
+    """X L X^T in rational arithmetic, rounded once to floats (L drops self-loops)."""
+    from fractions import Fraction
+
+    n = w.shape[0]
+    lap = [[sum(Fraction(w[p, r]) for r in range(n) if r != p) if p == q else -Fraction(w[p, q])
+            for q in range(n)] for p in range(n)]
+    return np.array([[float(sum(Fraction(x[i, p]) * lap[p][q] * Fraction(x[j, q])
+                                for p in range(n) for q in range(n)))
+                      for j in range(x.shape[0])] for i in range(x.shape[0])])
+
+
 class TestLdaLikeAdjacency:
     def test_two_samples_same_class(self):
         w = graph.lda_like_adjacency([1, 1])
@@ -143,6 +170,19 @@ class TestKnnGraph:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
+class TestSparsePencil:
+    @pytest.mark.parametrize("seed", CANCELLING_DRAWS)
+    def test_small_entries_keep_their_digits(self, seed):
+        from scipy import sparse
+
+        # against the exact product: on draw 4693 the dense branch itself rounds
+        # the smallest entry 2.2e-12 away from it, the sparse branch 6.9e-13
+        x, w = _quadratic_form_draw(seed)
+        a, b = graph.pencil(x, sparse.csr_matrix(w))
+        np.testing.assert_allclose(a, _exact_laplacian_form(x, w), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b, graph.pencil(x, w)[1], rtol=1e-12, atol=0)
+
+
 class TestLaplacian:
     def test_two_node_path(self):
         g = graph.laplacian([[0.0, 0.5], [0.5, 0.0]])
@@ -211,14 +251,7 @@ class TestLaplacian:
 class TestDensePencil:
     @pytest.mark.parametrize("seed", [648, 2774, 4693])
     def test_small_entries_keep_their_digits(self, seed):
-        # draws of test_quadratic_form_property where X diag(W 1) X^T - (X W) X^T
-        # cancels at D x D and misses the Laplacian product by 2.5e-12 to 3e-8
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        w = rng.random((n, n))
-        w = 0.5 * (w + w.T)
-        np.fill_diagonal(w, 0.0)
-        _assert_pencil_matches_dense(rng.standard_normal((2, n)), w)
+        _assert_pencil_matches_dense(*_quadratic_form_draw(seed))
 
     @pytest.mark.parametrize("rows", [1, 5, 12])
     def test_strips_match_dense_laplacian(self, rows):
