@@ -6,6 +6,7 @@ All feature matrices are stored column-per-sample (bands x pixels). Labels are
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -165,13 +166,18 @@ def save_json(path, doc):
     atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_lines(path):
-    """(header cells, header line number, the lines after the header)."""
+def _data_lines(path, after=0):
+    """(physical line number, line) of each non-blank line after line `after`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for i, line in enumerate(lines):
-        if not line.isspace():
-            return [c.strip() for c in line.split(",")], i + 1, lines[i + 1 :]
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > after and not line.isspace():
+                yield lineno, line
+
+
+def _read_header(path):
+    """(header cells, header line number)."""
+    for lineno, line in _data_lines(path):
+        return [c.strip() for c in line.split(",")], lineno
     raise ParseError(f"{path}: empty file")
 
 
@@ -186,33 +192,35 @@ def _parses(cell, convert):
     return in_range and cell.isascii() and "_" not in cell
 
 
-def _parse_rows(path, lines, first_line, num_floats, int_names):
-    """Parse the non-blank lines into records: `num_floats` float columns as
-    field "x", then an int field per name. `#` is an ordinary character, so
-    it cannot cut a row short; a bad row is named by its physical line."""
+def _parse_rows(path, header_line, num_floats, int_names):
+    """Parse the non-blank lines after the header into records: `num_floats`
+    float columns as field "x", then an int field per name. `#` is ordinary,
+    so it cannot cut a row short; a bad row is named by its physical line."""
     dtype = [(name, int) for name in int_names]
     if num_floats:
         dtype.insert(0, ("x", float, (num_floats,)))
-    rows = [line for line in lines if not line.isspace()]
-    if not rows:  # np.loadtxt would warn on empty input
-        return np.empty(0, dtype)
-    try:
-        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        width = num_floats + len(int_names)
-        for lineno, line in enumerate(lines, start=first_line):
-            if line.isspace():
-                continue
-            cells = line.split(",")
-            if len(cells) != width:
-                raise ParseError(
-                    f"{path}: expected {width} values, found {len(cells)}", line=lineno
-                ) from None
-            if not all(_parses(c, float) for c in cells[:num_floats]):
-                raise ParseError(f"{path}: non-numeric cell", line=lineno) from None
-            if not all(_parses(c, int) for c in cells[num_floats:]):
-                raise ParseError(f"{path}: non-integer label", line=lineno) from None
-        raise ParseError(f"{path}: {exc}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        # skipped and filtered in C: a Python generator costs a tenth of the parse
+        rows = itertools.filterfalse(str.isspace, itertools.islice(fh, header_line, None))
+        first = next(rows, None)
+        if first is None:  # np.loadtxt would warn on empty input
+            return np.empty(0, dtype)
+        try:
+            return np.loadtxt(itertools.chain([first], rows), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError as exc:
+            message = str(exc)
+    width = num_floats + len(int_names)
+    for lineno, line in _data_lines(path, header_line):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"{path}: expected {width} values, found {len(cells)}",
+                             line=lineno)
+        if not all(_parses(c, float) for c in cells[:num_floats]):
+            raise ParseError(f"{path}: non-numeric cell", line=lineno)
+        if not all(_parses(c, int) for c in cells[num_floats:]):
+            raise ParseError(f"{path}: non-integer label", line=lineno)
+    raise ParseError(f"{path}: {message}")
 
 
 def save_csv(path, samples, labels=None):
@@ -232,13 +240,12 @@ def save_csv(path, samples, labels=None):
 
 def load_csv(path):
     """Read a feature CSV; returns (samples d x N, labels or None)."""
-    header, lineno, lines = _read_lines(path)
+    header, lineno = _read_header(path)
     has_label = header[-1] == "label"
     band_cols = header[:-1] if has_label else header
     if not band_cols or band_cols != [f"band_{i + 1}" for i in range(len(band_cols))]:
         raise ParseError(f"{path}: header must be band_1..band_d[,label]", line=lineno)
-    table = _parse_rows(path, lines, lineno + 1, len(band_cols),
-                        ["label"] if has_label else [])
+    table = _parse_rows(path, lineno, len(band_cols), ["label"] if has_label else [])
     if table.size == 0:
         raise ParseError(f"{path}: no data rows", line=lineno)
     # a view into the parsed table: a copy would raise a scene-sized
@@ -248,10 +255,10 @@ def load_csv(path):
 
 def load_labels_csv(path):
     """Read a single-column label CSV (header `label`)."""
-    header, lineno, lines = _read_lines(path)
+    header, lineno = _read_header(path)
     if header != ["label"]:
         raise ParseError(f"{path}: expected a single `label` header", line=lineno)
-    return _parse_rows(path, lines, lineno + 1, 0, ["label"])["label"]
+    return _parse_rows(path, lineno, 0, ["label"])["label"]
 
 
 def load_pairs(ms_path, hs_path, labels_path=None) -> PairedDataset:
@@ -278,10 +285,10 @@ def save_predictions(path, labels):
 
 def load_predictions(path):
     """Read an `index,label` CSV; the indices must run 0..n-1."""
-    header, lineno, lines = _read_lines(path)
+    header, lineno = _read_header(path)
     if header != ["index", "label"]:
         raise ParseError(f"{path}: expected `index,label` header", line=lineno)
-    table = _parse_rows(path, lines, lineno + 1, 0, ["index", "label"])
+    table = _parse_rows(path, lineno, 0, ["index", "label"])
     if not np.array_equal(table["index"], np.arange(table.size)):
         raise ParseError(f"{path}: the index column must run 0..n-1")
     return table["label"]

@@ -1,4 +1,4 @@
-"""Cross-validated grid search, training-size sweeps, and benchmark runs."""
+"""Cross-validated grid search and benchmark runs."""
 
 from __future__ import annotations
 
@@ -101,12 +101,13 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
     _check_method(method)
     if method == "baseline":
         return FittedMethod(np.eye(ds.ms.shape[0]), classify.ReferenceSet(ds.ms, ds.labels))
+    if method == "cospace":
+        model = solver.fit(ds, solver.make_hyperparams(params["alpha"], params["beta"],
+                                                       params["dim"], hyper_overrides))
+        return FittedMethod(model.theta_m, classify.model_reference_set(model), model)
     sys = data.stack_system(ds)
     stacked_labels = np.concatenate([ds.labels, ds.labels])
-    if method == "cospace":
-        proj = solver.fit(ds, solver.make_hyperparams(params["alpha"], params["beta"],
-                                                      params["dim"], hyper_overrides))
-    elif method == "pjdr":
+    if method == "pjdr":
         proj = baselines.fit_pjdr(sys, params["dim"])
     else:
         w = (lda_like_adjacency(stacked_labels) if method == "lsma"
@@ -157,34 +158,6 @@ def grid_search(ds: PairedDataset, method, grid: GridSpec, hyper_overrides=None)
         if best is None or score > best["score"]:
             best = {"params": params, "score": score}
     return best, table
-
-
-def size_sensitivity(ds: PairedDataset, test_ms, test_labels, method, params,
-                     fractions, seed, hyper_overrides=None):
-    """OA on a fixed test set versus stratified training-set fraction."""
-    rng = np.random.default_rng(seed)
-    per_class = {
-        k: rng.permutation(np.nonzero(ds.labels == k)[0])
-        for k in range(1, ds.num_classes + 1)
-    }
-    rows = []
-    for frac in fractions:
-        if not (0 < frac <= 1):
-            raise ValidationError(f"fraction {frac} outside (0, 1]")
-        keep = []
-        for k, idx in per_class.items():
-            n_sub = int(round(frac * idx.size))
-            if n_sub < 1:
-                raise ValidationError(
-                    f"fraction {frac} leaves class {k} with no training samples"
-                )
-            keep.append(idx[:n_sub])
-        keep = np.sort(np.concatenate(keep))
-        fitted = fit_method(_subset(ds, keep), method, params, hyper_overrides)
-        pred = classify.knn1_predict(fitted.references, fitted.embed_ms(test_ms))
-        rows.append({"fraction": float(frac), "n_train": int(keep.size),
-                     "oa": float(np.mean(pred == test_labels))})
-    return rows
 
 
 # ---------------------------------------------------------------------------

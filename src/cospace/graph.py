@@ -84,19 +84,14 @@ def laplacian(w) -> JointGraph:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("adjacency must be square")
-    # one contiguous transpose for both uses: a strided (2N)^2 pass costs ~3 plain ones;
-    # `buf` holds |W - W^T| and then L, so at most three (2N)^2 arrays are alive
-    wt = np.ascontiguousarray(w.T)
-    buf = w - wt
-    if np.max(np.abs(buf, out=buf), initial=0.0) > 1e-12:
+    if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
         raise ValidationError("adjacency must be symmetric within 1e-12")
     if np.any(w < 0):
         raise ValidationError("adjacency weights must be nonnegative")
-    w = np.add(w, wt, out=wt)
-    w *= 0.5
+    w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
     d = np.diag(w.sum(axis=1))
-    return JointGraph(w=w, d=d, lap=np.subtract(d, w, out=buf))
+    return JointGraph(w=w, d=d, lap=d - w)
 
 
 def pencil(xtilde, w):

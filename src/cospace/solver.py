@@ -191,7 +191,7 @@ def admm_update_j(pty, theta_x, lambda1, mu, pp_eig):
 def admm_update_theta(j, g, lambda1, lambda2, xtilde, beta, mu, gen_eig):
     """Closed form for the unconstrained projection iterate.
 
-    gen_eig is `factor_theta_system(X X^T, X L X^T)`, fixed for a solve.
+    gen_eig is `factor_theta_system(X X^T, X L X^T)`, fixed for a fit.
     """
     if mu <= 0:
         raise ValidationError("mu must be positive")
@@ -226,18 +226,18 @@ def admm_update_duals(lambda1, lambda2, r_j, r_g, mu, rho, mu_max):
     return lambda1 + mu * r_j, lambda2 + mu * r_g, min(rho * mu, mu_max)
 
 
-def solve_theta_admm(p, sys: StackedSystem, xlxt, hyper: Hyperparams,
+def solve_theta_admm(p, sys: StackedSystem, gen_eig, hyper: Hyperparams,
                      warm_start) -> AdmmResult:
     """Inner ADMM loop from `warm_start`; returns the G iterate (exactly
-    row-orthonormal) with the smallest primal residual."""
+    row-orthonormal) with the smallest primal residual. gen_eig is
+    `factor_theta_system(X X^T, X L X^T)`, which a fit factors once."""
     xtilde = sys.xtilde
     theta = np.asarray(warm_start, dtype=float)
     if theta.shape != (hyper.dim, xtilde.shape[0]):
         raise ValidationError("warm start has the wrong shape")
-    # the right-hand side and both systems are fixed during the solve
+    # the right-hand side and the J system are fixed during the solve
     pty = p.T @ sys.ytilde
     pp_eig = factor_j_system(p)
-    gen_eig = factor_theta_system(xtilde @ xtilde.T, xlxt)
     g = np.zeros_like(theta)
     lambda1 = np.zeros((hyper.dim, xtilde.shape[1]))
     lambda2 = np.zeros_like(theta)
@@ -307,6 +307,7 @@ def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
     c = sys.ytilde.shape[0]
     r = np.linalg.qr(np.vstack([sys.ytilde, sys.xtilde]).T, mode="r")
     factor = StackedSystem(xtilde=r[:, c:].T, ytilde=r[:, :c].T, d_m=sys.d_m, d_h=sys.d_h)
+    gen_eig = factor_theta_system(factor.xtilde @ factor.xtilde.T, xlxt)
 
     theta = _pca_rows(sys.xtilde, hyper.dim)
     p = update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
@@ -314,7 +315,7 @@ def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
     converged = False
     for _ in range(hyper.outer_max_iter):
         p = update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
-        inner = solve_theta_admm(p, factor, xlxt, hyper, warm_start=theta)
+        inner = solve_theta_admm(p, factor, gen_eig, hyper, warm_start=theta)
         energy = objective(factor, xlxt, p, inner.theta, hyper).total
         if energy <= trace[-1]:
             theta = inner.theta

@@ -113,7 +113,8 @@ def test_criterion_04_admm_feasibility_at_convergence():
                                    inner_max_iter=3000)
         theta0 = solver._pca_rows(sys.xtilde, 2)
         p = solver.update_p(sys.ytilde, theta0 @ sys.xtilde, hyper.alpha)
-        out = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
+        gen_eig = solver.factor_theta_system(sys.xtilde @ sys.xtilde.T, xlxt)
+        out = solver.solve_theta_admm(p, sys, gen_eig, hyper, warm_start=theta0)
         if out.converged:
             checked += 1
             assert out.primal_residual_j < 1e-6, out.primal_residual_j

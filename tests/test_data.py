@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,26 @@ class TestCsv:
         path.write_text("label\n1\n\n99999999999999999999\n")
         with pytest.raises(ParseError, match="non-integer label.*line 4"):
             data.load_labels_csv(path)
+
+    def test_bad_row_past_the_first_parse_chunk_reports_physical_line(self, tmp_path):
+        # np.loadtxt reads its input in chunks of 50,000 rows
+        path = tmp_path / "x.csv"
+        path.write_text("band_1,label\n" + "1.0,1\n" * 50_001 + "\n1.0,x\n")
+        with pytest.raises(ParseError, match="non-integer label.*line 50004"):
+            data.load_csv(path)
+
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
+        # the lines of a file take several times its table's bytes as Python strings
+        rng = np.random.default_rng(3)
+        path = tmp_path / "x.csv"
+        data.save_csv(path, rng.standard_normal((10, 30_000)), rng.integers(1, 4, 30_000))
+        tracemalloc.start()
+        try:
+            samples, labels = data.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (samples.nbytes + labels.nbytes)
 
 
 def _scene_spec(noise=0.1, seed=0):

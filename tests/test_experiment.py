@@ -116,6 +116,21 @@ class TestFitMethod:
         assert np.array_equal(fitted.references.embeddings, fitted.model.ref_embeddings)
         assert np.array_equal(fitted.references.labels, fitted.model.ref_labels)
 
+    def test_cospace_stacks_once(self, monkeypatch):
+        from cospace import data, solver
+
+        calls = []
+        stack = data.stack_system
+
+        def spy(ds):
+            calls.append(ds)
+            return stack(ds)
+
+        monkeypatch.setattr(data, "stack_system", spy)
+        monkeypatch.setattr(solver, "stack_system", spy)  # solver imported the name
+        experiment.fit_method(_dataset(), "cospace", {"dim": 2, "alpha": 0.1, "beta": 0.01})
+        assert len(calls) == 1
+
     def test_lusma_makes_no_square_array(self):
         # 1,000 pairs: one (2N)^2 float64 array would take 32 MB; numpy reports
         # its buffers to tracemalloc
@@ -181,41 +196,6 @@ class TestGridSearch:
         a = experiment.grid_search(ds, "pjdr", SMALL_GRID)
         b = experiment.grid_search(ds, "pjdr", SMALL_GRID)
         assert a == b
-
-
-class TestSizeSensitivity:
-    def _setup(self):
-        ds = _dataset(1, n_per_class=15)
-        test = _dataset(2, n_per_class=5)
-        return ds, test.ms, test.labels
-
-    def test_full_fraction_uses_everything(self):
-        ds, test_ms, test_labels = self._setup()
-        rows = experiment.size_sensitivity(ds, test_ms, test_labels, "pjdr",
-                                           {"dim": 2}, [1.0], seed=0)
-        assert rows[0]["n_train"] == ds.num_samples
-
-    def test_rows_follow_fractions(self):
-        ds, test_ms, test_labels = self._setup()
-        rows = experiment.size_sensitivity(ds, test_ms, test_labels, "pjdr",
-                                           {"dim": 2}, [0.2, 0.6, 1.0], seed=3)
-        assert [r["fraction"] for r in rows] == [0.2, 0.6, 1.0]
-        assert rows[0]["n_train"] == 9  # 3 per class, stratified
-        assert all(0.0 <= r["oa"] <= 1.0 for r in rows)
-
-    def test_deterministic_per_seed(self):
-        ds, test_ms, test_labels = self._setup()
-        a = experiment.size_sensitivity(ds, test_ms, test_labels, "lsma",
-                                        {"dim": 2}, [0.5], seed=5)
-        b = experiment.size_sensitivity(ds, test_ms, test_labels, "lsma",
-                                        {"dim": 2}, [0.5], seed=5)
-        assert a == b
-
-    def test_bad_fraction(self):
-        ds, test_ms, test_labels = self._setup()
-        with pytest.raises(ValidationError):
-            experiment.size_sensitivity(ds, test_ms, test_labels, "pjdr",
-                                        {"dim": 2}, [1.5], seed=0)
 
 
 def _benchmark_config(tmp_path=None):

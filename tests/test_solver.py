@@ -121,6 +121,10 @@ def _j_update(p, ytilde, theta_x, lambda1, mu):
                                 solver.factor_j_system(p))
 
 
+def _gen_eig(sys, xlxt):
+    return solver.factor_theta_system(sys.xtilde @ sys.xtilde.T, xlxt)
+
+
 def _theta_update(j, g, lambda1, lambda2, xtilde, xlxt, beta, mu):
     gen_eig = solver.factor_theta_system(xtilde @ xtilde.T, xlxt)
     return solver.admm_update_theta(j, g, lambda1, lambda2, xtilde, beta, mu,
@@ -247,7 +251,7 @@ class TestSolveThetaAdmm:
 
     def test_converges_and_is_feasible(self):
         p, sys, xlxt, hyper, theta0 = self._setup()
-        out = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
+        out = solver.solve_theta_admm(p, sys, _gen_eig(sys, xlxt), hyper, warm_start=theta0)
         assert out.converged
         assert out.primal_residual_j < hyper.inner_tol
         assert out.primal_residual_g < hyper.inner_tol
@@ -256,7 +260,7 @@ class TestSolveThetaAdmm:
     def test_improves_objective(self):
         p, sys, xlxt, hyper, theta0 = self._setup()
         before = solver.objective(sys, xlxt, p, theta0, hyper).total
-        out = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
+        out = solver.solve_theta_admm(p, sys, _gen_eig(sys, xlxt), hyper, warm_start=theta0)
         after = solver.objective(sys, xlxt, p, out.theta, hyper).total
         assert after <= before + 1e-9
 
@@ -268,7 +272,7 @@ class TestSolveThetaAdmm:
         worst, held_back = np.inf, 0
         for k in range(1, 16):
             out = solver.solve_theta_admm(
-                p, sys, xlxt, dataclasses.replace(hyper, inner_max_iter=k),
+                p, sys, _gen_eig(sys, xlxt), dataclasses.replace(hyper, inner_max_iter=k),
                 warm_start=theta0)
             assert out.iterations <= k
             held_back += out.iterations < k
@@ -286,8 +290,10 @@ class TestSolveThetaAdmm:
                                 dataclasses.replace(hyper, outer_max_iter=1))
         factor = seen[0]
         assert factor.xtilde.shape[1] < sys.xtilde.shape[1]
-        full = solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=theta0)
-        thin = solver.solve_theta_admm(p, factor, xlxt, hyper, warm_start=theta0)
+        full = solver.solve_theta_admm(p, sys, _gen_eig(sys, xlxt), hyper,
+                                       warm_start=theta0)
+        thin = solver.solve_theta_admm(p, factor, _gen_eig(factor, xlxt), hyper,
+                                       warm_start=theta0)
         assert full.converged and thin.converged
         assert thin.iterations == full.iterations
         assert np.allclose(thin.theta, full.theta, rtol=0, atol=1e-9)
@@ -306,7 +312,8 @@ class TestSolveThetaAdmm:
     def test_bad_warm_start_shape(self):
         p, sys, xlxt, hyper, _ = self._setup()
         with pytest.raises(ValidationError):
-            solver.solve_theta_admm(p, sys, xlxt, hyper, warm_start=np.ones((1, 1)))
+            solver.solve_theta_admm(p, sys, _gen_eig(sys, xlxt), hyper,
+                                    warm_start=np.ones((1, 1)))
 
 
 class TestPcaRows:
@@ -385,6 +392,19 @@ class TestFit:
                 assert _rel(gram, getattr(full, a) @ getattr(full, b).T) < 1e-12
         assert model.ref_embeddings.shape == (2, n2)
         assert np.array_equal(model.ref_embeddings, model.theta @ full.xtilde)
+
+    def test_theta_system_is_factored_once_per_fit(self, monkeypatch):
+        calls = []
+        factor = solver.factor_theta_system
+
+        def spy(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(solver, "factor_theta_system", spy)
+        model = solver.fit(_toy_dataset(1), solver.Hyperparams(alpha=0.1, beta=0.01, dim=3))
+        assert len(model.objective_trace) - 1 > 1  # more than one inner solve
+        assert len(calls) == 1
 
 
 class TestEmbed:
