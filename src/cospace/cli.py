@@ -26,18 +26,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _load_truth(path):
-    """Accept either a feature CSV with a label column or a label-only CSV."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = next((line.strip() for line in fh if not line.isspace()), "")
-    if header == "label":
-        return data.load_labels_csv(path)
-    _, labels = data.load_csv(path)
-    if labels is None:
-        raise ValidationError(f"{path} carries no label column")
-    return labels
-
-
 def cmd_simulate(args):
     spec = data.SceneSpec.from_json(data.load_json(args.spec))
     ds, test_ms, test_labels = data.make_synthetic_scene(spec)
@@ -96,7 +84,7 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     pred = data.load_predictions(args.pred)
-    truth = _load_truth(args.truth)
+    truth = data.load_truth(args.truth)
     if pred.size != truth.size:
         raise ValidationError(
             f"{pred.size} predictions vs {truth.size} truth labels"

@@ -149,10 +149,13 @@ def build_gaussian_srf(ms_centers, hs_centers, fwhm) -> SrfBank:
 
 
 def atomic_write(path, content):
-    """Write a str (as UTF-8) or bytes to a temp file, then rename it to `path`."""
+    """Write a str (as UTF-8), bytes, or an iterable of str blocks to a temp
+    file, then rename it to `path`."""
     tmp = f"{path}.tmp"
+    blocks = [content] if isinstance(content, (str, bytes)) else content
     with open(tmp, "wb") as fh:
-        fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+        for block in blocks:
+            fh.write(block.encode("utf-8") if isinstance(block, str) else block)
     os.replace(tmp, path)
 
 
@@ -261,6 +264,17 @@ def load_labels_csv(path):
     return _parse_rows(path, lineno, 0, ["label"])["label"]
 
 
+def load_truth(path):
+    """Labels from a label CSV (header `label`) or a feature CSV's label column."""
+    header, _ = _read_header(path)
+    if header == ["label"]:
+        return load_labels_csv(path)
+    _, labels = load_csv(path)
+    if labels is None:
+        raise ValidationError(f"{path} carries no label column")
+    return labels
+
+
 def load_pairs(ms_path, hs_path, labels_path=None) -> PairedDataset:
     """Training pairs from an MS and an HS feature CSV. The labels come from
     the label CSV `labels_path` if given, else from the MS file, else the HS."""
@@ -276,11 +290,21 @@ def load_pairs(ms_path, hs_path, labels_path=None) -> PairedDataset:
                          num_classes=int(np.max(labels, initial=0)))
 
 
+PREDICTION_BLOCK_ROWS = 16_384  # rows formatted at a time: about 1 MB of Python strings
+
+
 def save_predictions(path, labels):
-    """Write one predicted label per sample as an `index,label` CSV."""
-    labels = np.asarray(labels, dtype=int).tolist()
-    atomic_write(path, "index,label\n"
-                 + "".join(f"{i},{lab}\n" for i, lab in enumerate(labels)))
+    """Write one predicted label per sample as an `index,label` CSV, a block
+    of rows at a time, so memory does not grow with the row count."""
+    labels = np.asarray(labels, dtype=int)
+
+    def blocks():
+        yield "index,label\n"
+        for start in range(0, labels.size, PREDICTION_BLOCK_ROWS):
+            block = labels[start : start + PREDICTION_BLOCK_ROWS].tolist()
+            yield "".join(f"{i},{lab}\n" for i, lab in enumerate(block, start))
+
+    atomic_write(path, blocks())
 
 
 def load_predictions(path):

@@ -95,6 +95,15 @@ class FittedMethod:
         return self.theta_m @ np.asarray(x, dtype=float)
 
 
+def _cospace_hyper(params, hyper_overrides):
+    return solver.make_hyperparams(params["alpha"], params["beta"], params["dim"],
+                                   hyper_overrides)
+
+
+def _fitted_cospace(model):
+    return FittedMethod(model.theta_m, classify.model_reference_set(model), model)
+
+
 @single_thread()
 def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> FittedMethod:
     """Train one method, on one BLAS thread, and package its MS projection and references."""
@@ -102,9 +111,7 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
     if method == "baseline":
         return FittedMethod(np.eye(ds.ms.shape[0]), classify.ReferenceSet(ds.ms, ds.labels))
     if method == "cospace":
-        model = solver.fit(ds, solver.make_hyperparams(params["alpha"], params["beta"],
-                                                       params["dim"], hyper_overrides))
-        return FittedMethod(model.theta_m, classify.model_reference_set(model), model)
+        return _fitted_cospace(solver.fit(ds, _cospace_hyper(params, hyper_overrides)))
     sys = data.stack_system(ds)
     stacked_labels = np.concatenate([ds.labels, ds.labels])
     if method == "pjdr":
@@ -131,13 +138,34 @@ def method_grid_cells(method, grid: GridSpec):
     return [dict(zip(axes, cell)) for cell in itertools.product(*values)]
 
 
-def _cv_score(ds, method, params, splits, hyper_overrides):
+def _fold_fits(ds, method, cells, splits, hyper_overrides):
+    """Yield the FittedMethod of each cell on each fold's training part, cell
+    by cell. CoSpace fits every (cell, fold) of a dim in one lockstep
+    `solver.fit_many`; the cells come in dim order, so a dim's cells are
+    consecutive."""
+    if method != "cospace":
+        for params in cells:
+            for train_idx, _ in splits:
+                yield fit_method(_subset(ds, train_idx), method, params, hyper_overrides)
+        return
+    for _, same_dim in itertools.groupby(cells, key=lambda params: params["dim"]):
+        problems = [(_subset(ds, train_idx), _cospace_hyper(params, hyper_overrides))
+                    for params in same_dim for train_idx, _ in splits]
+        for model in solver.fit_many(problems):
+            yield _fitted_cospace(model)
+
+
+def _cv_scores(ds, method, cells, splits, hyper_overrides):
+    """Each cell's mean validation OA over the folds."""
+    fits = _fold_fits(ds, method, cells, splits, hyper_overrides)
     scores = []
-    for train_idx, val_idx in splits:
-        fitted = fit_method(_subset(ds, train_idx), method, params, hyper_overrides)
-        pred = classify.knn1_predict(fitted.references, fitted.embed_ms(ds.ms[:, val_idx]))
-        scores.append(float(np.mean(pred == ds.labels[val_idx])))
-    return float(np.mean(scores))
+    for _ in cells:
+        fold_oa = []
+        for (_, val_idx), fitted in zip(splits, fits):
+            pred = classify.knn1_predict(fitted.references, fitted.embed_ms(ds.ms[:, val_idx]))
+            fold_oa.append(float(np.mean(pred == ds.labels[val_idx])))
+        scores.append(float(np.mean(fold_oa)))
+    return scores
 
 
 def grid_search(ds: PairedDataset, method, grid: GridSpec, hyper_overrides=None):
@@ -152,8 +180,7 @@ def grid_search(ds: PairedDataset, method, grid: GridSpec, hyper_overrides=None)
     splits = kfold_split(ds.num_samples, grid.folds, grid.seed)
     table = []
     best = None
-    for params in cells:
-        score = _cv_score(ds, method, params, splits, hyper_overrides)
+    for params, score in zip(cells, _cv_scores(ds, method, cells, splits, hyper_overrides)):
         table.append({"params": params, "score": score})
         if best is None or score > best["score"]:
             best = {"params": params, "score": score}

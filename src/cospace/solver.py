@@ -162,8 +162,11 @@ def update_p(ytilde, q, alpha):
 
 
 def factor_j_system(p):
-    """Eigenpairs (s, U) of P^T P, so (P^T P + mu I)^-1 = U diag(1/(s+mu)) U^T."""
-    return np.linalg.eigh(p.T @ p)
+    """Eigenpairs (s, U) of P^T P, so (P^T P + mu I)^-1 = U diag(1/(s+mu)) U^T.
+
+    Like the ADMM updates below, it takes a stack of P over a leading axis.
+    """
+    return np.linalg.eigh(p.mT @ p)
 
 
 def factor_theta_system(xxt, xlxt):
@@ -185,22 +188,23 @@ def admm_update_j(pty, theta_x, lambda1, mu, pp_eig):
         raise ValidationError("mu must be positive")
     s, u = pp_eig
     rhs = pty + mu * theta_x - lambda1
-    return u @ ((u.T @ rhs) / (s + mu)[:, None])
+    return u @ ((u.mT @ rhs) / (s + mu)[..., :, None])
 
 
 def admm_update_theta(j, g, lambda1, lambda2, xtilde, beta, mu, gen_eig):
     """Closed form for the unconstrained projection iterate.
 
-    gen_eig is `factor_theta_system(X X^T, X L X^T)`, fixed for a fit.
+    gen_eig is `factor_theta_system(X X^T, X L X^T)`, fixed for a fit. For a
+    stack of iterates, beta is a column of one value per slice.
     """
     if mu <= 0:
         raise ValidationError("mu must be positive")
     lam, v = gen_eig
-    rhs = (mu * j + lambda1) @ xtilde.T + mu * g + lambda2
+    rhs = (mu * j + lambda1) @ xtilde.mT + mu * g + lambda2
     scale = mu + beta * lam
-    if not np.all(np.isfinite(scale)) or not np.all(np.isfinite(rhs)):
+    if not np.isfinite(scale).all() or not np.isfinite(rhs).all():
         raise NumericalError("non-finite values in the projection update")
-    return ((rhs @ v) / scale) @ v.T
+    return ((rhs @ v) / scale[..., None, :]) @ v.mT
 
 
 def admm_update_g(theta, lambda2, mu):
@@ -208,11 +212,12 @@ def admm_update_g(theta, lambda2, mu):
     if mu <= 0:
         raise ValidationError("mu must be positive")
     m = theta - lambda2 / mu
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericalError("non-finite values entering the SVD projection")
     # numpy's SVD keeps the inner loop on the one BLAS its matmuls use
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[-1] <= 1e-13 * max(s[0], 1.0):
+    # per slice, on Python floats: a few scalars cost less than array calls
+    if any(sv[-1] <= 1e-13 * max(sv[0], 1.0) for sv in s.reshape(-1, s.shape[-1]).tolist()):
         raise NumericalError(
             "rank-deficient input to the orthogonality projection; "
             "solution would be non-unique"
@@ -226,50 +231,85 @@ def admm_update_duals(lambda1, lambda2, r_j, r_g, mu, rho, mu_max):
     return lambda1 + mu * r_j, lambda2 + mu * r_g, min(rho * mu, mu_max)
 
 
-def solve_theta_admm(p, sys: StackedSystem, gen_eig, hyper: Hyperparams,
-                     warm_start) -> AdmmResult:
-    """Inner ADMM loop from `warm_start`; returns the G iterate (exactly
-    row-orthonormal) with the smallest primal residual. gen_eig is
-    `factor_theta_system(X X^T, X L X^T)`, which a fit factors once."""
-    xtilde = sys.xtilde
-    theta = np.asarray(warm_start, dtype=float)
-    if theta.shape != (hyper.dim, xtilde.shape[0]):
+def _norms(r):
+    """Frobenius norm of each slice of a stack: the BLAS dot of the flattened
+    slice, as np.linalg.norm takes it, so bit for bit a lone norm."""
+    flat = r.reshape(r.shape[0], -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _admm_stack(requests):
+    """Run inner ADMM solves in lockstep, stacked over a leading axis.
+
+    Each request holds `solve_theta_admm`'s arguments. All share their shapes
+    and `ADMM_SETTINGS`; beta may differ. Each slice stops at its own
+    iteration and leaves the stack, so its AdmmResult is a lone solve's, bit
+    for bit.
+    """
+    ps, systems, gen_eigs, hypers, warm_starts = zip(*requests)
+    hyper = hypers[0]
+    theta = np.stack([np.asarray(w, dtype=float) for w in warm_starts])
+    if theta.shape[1:] != (hyper.dim, systems[0].xtilde.shape[0]):
         raise ValidationError("warm start has the wrong shape")
+    xtilde = np.stack([sys.xtilde for sys in systems])
+    lam, v = (np.stack(parts) for parts in zip(*gen_eigs))
+    beta = np.array([[h.beta] for h in hypers], dtype=float)
     # the right-hand side and the J system are fixed during the solve
-    pty = p.T @ sys.ytilde
-    pp_eig = factor_j_system(p)
+    p = np.stack(ps)
+    pty = p.mT @ np.stack([sys.ytilde for sys in systems])
+    s, u = factor_j_system(p)
     g = np.zeros_like(theta)
-    lambda1 = np.zeros((hyper.dim, xtilde.shape[1]))
+    lambda1 = np.zeros_like(pty)
     lambda2 = np.zeros_like(theta)
     mu = hyper.mu0
-    best = None
     theta_x = theta @ xtilde
+    results = [None] * len(requests)
+    live = list(range(len(requests)))  # the request of each slice
+    # each slice's smallest max(residual J, residual G) and the AdmmResult fields
+    # of its iterate
+    best = [None] * len(live)
     for iteration in range(1, hyper.inner_max_iter + 1):
-        j = admm_update_j(pty, theta_x, lambda1, mu, pp_eig)
-        theta = admm_update_theta(j, g, lambda1, lambda2, xtilde, hyper.beta,
-                                  mu, gen_eig)
+        j = admm_update_j(pty, theta_x, lambda1, mu, (s, u))
+        theta = admm_update_theta(j, g, lambda1, lambda2, xtilde, beta, mu, (lam, v))
         g = admm_update_g(theta, lambda2, mu)
         theta_x = theta @ xtilde
         r_j = j - theta_x
         r_g = g - theta
-        res_j = float(np.linalg.norm(r_j))
-        res_g = float(np.linalg.norm(r_g))
-        if best is None or (max(res_j, res_g)
-                            < max(best.primal_residual_j, best.primal_residual_g)):
-            best = AdmmResult(
-                theta=g,
-                converged=res_j < hyper.inner_tol and res_g < hyper.inner_tol,
-                iterations=iteration,
-                primal_residual_j=res_j,
-                primal_residual_g=res_g,
-            )
-        # an unconverged best has residuals above tol, so a converged
-        # iterate always becomes the best
-        if best.converged:
-            break
+        done = []
+        # per slice, on Python floats: a few scalars cost less than array calls
+        for k, (res_j, res_g) in enumerate(zip(_norms(r_j).tolist(), _norms(r_g).tolist())):
+            if best[k] is None or max(res_j, res_g) < best[k][0]:
+                converged = res_j < hyper.inner_tol and res_g < hyper.inner_tol
+                best[k] = (max(res_j, res_g), g[k], converged, iteration, res_j, res_g)
+                # an unconverged best has residuals above tol, so a converged
+                # iterate always becomes the best
+                if converged:
+                    done.append(k)
+        if iteration == hyper.inner_max_iter:
+            done = range(len(live))
+        if done:
+            for k in done:
+                _, iterate, *rest = best[k]
+                results[live[k]] = AdmmResult(iterate.copy(), *rest)
+            keep = [k for k in range(len(live)) if k not in done]
+            if not keep:
+                break
+            live, best = [live[k] for k in keep], [best[k] for k in keep]
+            pty, s, u, xtilde, lam, v, beta, theta_x, g, lambda1, lambda2, r_j, r_g = (
+                a[keep] for a in (pty, s, u, xtilde, lam, v, beta, theta_x, g, lambda1,
+                                  lambda2, r_j, r_g))
         lambda1, lambda2, mu = admm_update_duals(lambda1, lambda2, r_j, r_g, mu,
                                                  hyper.rho, hyper.mu_max)
-    return best
+    return results
+
+
+def solve_theta_admm(p, sys: StackedSystem, gen_eig, hyper: Hyperparams,
+                     warm_start) -> AdmmResult:
+    """Inner ADMM loop from `warm_start`; returns the G iterate (exactly
+    row-orthonormal) with the smallest primal residual. gen_eig is
+    `factor_theta_system(X X^T, X L X^T)`, which a fit factors once. This is
+    the stacked solve on a stack of one."""
+    return _admm_stack([(p, sys, gen_eig, hyper, warm_start)])[0]
 
 
 def _pca_rows(xtilde, dim):
@@ -281,15 +321,12 @@ def _pca_rows(xtilde, dim):
     return u[:, :dim].T
 
 
-@single_thread()
-def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
-    """Alternate the ridge map update and the ADMM projection solve.
+def _fit_steps(ds: PairedDataset, hyper: Hyperparams):
+    """The BCD loop of one fit, as a generator that returns its CoSpaceModel.
 
-    Stops when the relative objective change drops below `outer_tol`; that
-    test alone sets the model's `converged`. The reported projection is always
-    the feasible SVD-projected iterate, so a candidate that fails to decrease
-    the objective is rejected (descent guard). Runs on one BLAS thread, so the
-    result does not depend on the thread count.
+    It yields each inner solve's arguments, in `solve_theta_admm`'s order, and
+    is sent that solve's AdmmResult. It holds the fit's stacked system, which
+    is O(D N), until it returns.
     """
     if ds.num_classes < 2:
         raise ValidationError("training data must contain at least 2 classes")
@@ -315,7 +352,7 @@ def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
     converged = False
     for _ in range(hyper.outer_max_iter):
         p = update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
-        inner = solve_theta_admm(p, factor, gen_eig, hyper, warm_start=theta)
+        inner = yield p, factor, gen_eig, hyper, theta
         energy = objective(factor, xlxt, p, inner.theta, hyper).total
         if energy <= trace[-1]:
             theta = inner.theta
@@ -342,6 +379,58 @@ def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
         ref_labels=stacked_labels,
         ref_modalities=np.array([0] * ds.num_samples + [1] * ds.num_samples),
     )
+
+
+@single_thread()
+def fit(ds: PairedDataset, hyper: Hyperparams) -> CoSpaceModel:
+    """Alternate the ridge map update and the ADMM projection solve.
+
+    Stops when the relative objective change drops below `outer_tol`; that
+    test alone sets the model's `converged`. The reported projection is always
+    the feasible SVD-projected iterate, so a candidate that fails to decrease
+    the objective is rejected (descent guard). Runs on one BLAS thread, so the
+    result does not depend on the thread count.
+    """
+    steps = _fit_steps(ds, hyper)
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(solve_theta_admm(*request))
+    except StopIteration as stop:
+        return stop.value
+
+
+# the Hyperparams fields that a stack of inner solves shares
+ADMM_SETTINGS = ("mu0", "rho", "mu_max", "inner_tol", "inner_max_iter")
+
+
+@single_thread()
+def fit_many(problems) -> list:
+    """`fit` of each (PairedDataset, Hyperparams) problem, bit for bit.
+
+    The fits advance in lockstep, one outer step per round. In a round, the
+    inner solves that share their shapes and `ADMM_SETTINGS` run as one
+    stacked ADMM, so a grid's many small fits pay numpy's per-call cost once
+    per stack, not once per fit. Every live fit holds its stacked system.
+    """
+    steps = [_fit_steps(ds, hyper) for ds, hyper in problems]
+    models = [None] * len(steps)
+    sent = dict.fromkeys(range(len(steps)))  # what each live fit is sent next
+    while sent:
+        requests = {}
+        for i, result in sent.items():
+            try:
+                requests[i] = steps[i].send(result)
+            except StopIteration as stop:
+                models[i] = stop.value
+        groups = {}
+        for i, (p, factor, _, hyper, _) in requests.items():
+            key = (p.shape, factor.xtilde.shape, *(getattr(hyper, f) for f in ADMM_SETTINGS))
+            groups.setdefault(key, []).append(i)
+        sent = {}
+        for members in groups.values():
+            sent.update(zip(members, _admm_stack([requests[i] for i in members])))
+    return models
 
 
 def embed_ms(model: CoSpaceModel, x):

@@ -86,7 +86,8 @@ def test_criterion_03_orthogonality(hundred_fits, monkeypatch):
 
     def spy(theta, lambda2, mu):
         g = original(theta, lambda2, mu)
-        records.append(float(np.linalg.norm(g @ g.T - np.eye(g.shape[0]))))
+        # a stack of iterates over a leading axis (a fit passes a stack of one)
+        records.extend(np.linalg.norm(g @ g.mT - np.eye(g.shape[-2]), axis=(-2, -1)).ravel())
         return g
 
     monkeypatch.setattr(solver, "admm_update_g", spy)

@@ -220,6 +220,51 @@ class TestCsv:
         assert peak < 2 * (samples.nbytes + labels.nbytes)
 
 
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8])
+    def test_predictions_in_blocks_are_one_file(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(data, "PREDICTION_BLOCK_ROWS", 3)
+        labels = np.arange(rows) % 4 + 1
+        path = tmp_path / "pred.csv"
+        data.save_predictions(path, labels)
+        assert path.read_text() == "index,label\n" + "".join(
+            f"{i},{lab}\n" for i, lab in enumerate(labels.tolist()))
+
+    def test_predictions_hold_no_string_per_row(self, tmp_path):
+        labels = np.random.default_rng(4).integers(1, 4, 300_000)
+        path = tmp_path / "pred.csv"
+        tracemalloc.start()
+        try:
+            data.save_predictions(path, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one Python string per row would take about ten times the file
+        assert peak < path.stat().st_size
+
+
+class TestLoadTruth:
+    def test_label_csv_after_blank_lines(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("\n  \nlabel\n2\n\n1\n")
+        assert data.load_truth(path).tolist() == [2, 1]
+
+    def test_feature_csv_label_column(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        data.save_csv(path, np.ones((2, 3)), [1, 3, 2])
+        assert data.load_truth(path).tolist() == [1, 3, 2]
+
+    def test_feature_csv_without_labels(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        data.save_csv(path, np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="carries no label column"):
+            data.load_truth(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("\n\n")
+        with pytest.raises(ParseError, match="empty file"):
+            data.load_truth(path)
+
 def _scene_spec(noise=0.1, seed=0):
     hs_centers = np.arange(400.0, 700.0, 20.0)
     ms_centers = np.array([450.0, 550.0, 650.0])

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cospace import experiment
+from cospace import classify, experiment
 from cospace.data import PairedDataset
 from cospace.errors import ValidationError
 
@@ -168,15 +168,16 @@ class TestGridCells:
 
 class TestGridSearch:
     def test_tie_break_earliest_cell(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_cv_score", lambda *args: 0.5)
+        monkeypatch.setattr(experiment, "_cv_scores",
+                            lambda ds, method, cells, *rest: [0.5] * len(cells))
         best, table = experiment.grid_search(_dataset(), "lsma", SMALL_GRID)
         assert best["params"] == {"dim": 2}
         assert len(table) == 2
         assert all(row["score"] == 0.5 for row in table)
 
     def test_maximum_wins(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_cv_score",
-                            lambda ds, method, params, *rest: params["dim"] / 10.0)
+        monkeypatch.setattr(experiment, "_cv_scores",
+                            lambda ds, method, cells, *rest: [p["dim"] / 10.0 for p in cells])
         best, _ = experiment.grid_search(_dataset(), "lsma", SMALL_GRID)
         assert best["params"] == {"dim": 3}
         assert best["score"] == pytest.approx(0.3)
@@ -186,6 +187,25 @@ class TestGridSearch:
         best, table = experiment.grid_search(ds, "lsma", SMALL_GRID)
         assert 0.0 <= best["score"] <= 1.0
         assert best["score"] == max(row["score"] for row in table)
+
+    def test_cospace_table_equals_fold_by_fold_fits(self):
+        ds = _dataset()
+        grid = experiment.GridSpec(dims=(3, 2), alphas=(1.0, 0.1), betas=(0.01, 0.1),
+                                   ks=(3,), sigmas=(1.0,), folds=3, seed=1)
+        overrides = {"outer_max_iter": 5}
+        best, table = experiment.grid_search(ds, "cospace", grid, overrides)
+        splits = experiment.kfold_split(ds.num_samples, grid.folds, grid.seed)
+        oracle = []
+        for params in experiment.method_grid_cells("cospace", grid):
+            oas = []
+            for train, val in splits:
+                fitted = experiment.fit_method(experiment._subset(ds, train), "cospace",
+                                               params, overrides)
+                pred = classify.knn1_predict(fitted.references, fitted.embed_ms(ds.ms[:, val]))
+                oas.append(float(np.mean(pred == ds.labels[val])))
+            oracle.append({"params": params, "score": float(np.mean(oas))})
+        assert table == oracle
+        assert best == max(oracle, key=lambda row: row["score"])
 
     def test_baseline_has_no_grid(self):
         assert experiment.grid_search(_dataset(), "baseline", SMALL_GRID) == (

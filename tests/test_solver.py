@@ -132,6 +132,11 @@ def _theta_update(j, g, lambda1, lambda2, xtilde, xlxt, beta, mu):
 
 
 class TestAdmmUpdates:
+    def test_stacked_norms_are_lone_norms(self):
+        # bit for bit what np.linalg.norm gives one slice, which a lone solve used
+        r = np.random.default_rng(5).standard_normal((7, 4, 53)) * np.logspace(-8, 3, 53)
+        assert solver._norms(r).tolist() == [float(np.linalg.norm(s)) for s in r]
+
     def test_j_scalar(self):
         j = _j_update(np.array([[1.0]]), np.array([[3.0]]),
                       np.array([[1.0]]), np.array([[0.0]]), mu=1.0)
@@ -309,6 +314,16 @@ class TestSolveThetaAdmm:
             p_thin = solver.update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
             assert _rel(p_thin, p_full) < 1e-10
 
+    def test_stops_at_the_first_converged_iterate(self):
+        p, sys, xlxt, hyper, theta0 = self._setup()
+        gen_eig = _gen_eig(sys, xlxt)
+        out = solver.solve_theta_admm(p, sys, gen_eig, hyper, warm_start=theta0)
+        assert out.converged and out.iterations > 1
+        shorter = solver.solve_theta_admm(
+            p, sys, gen_eig, dataclasses.replace(hyper, inner_max_iter=out.iterations - 1),
+            warm_start=theta0)
+        assert not shorter.converged
+
     def test_bad_warm_start_shape(self):
         p, sys, xlxt, hyper, _ = self._setup()
         with pytest.raises(ValidationError):
@@ -405,6 +420,101 @@ class TestFit:
         model = solver.fit(_toy_dataset(1), solver.Hyperparams(alpha=0.1, beta=0.01, dim=3))
         assert len(model.objective_trace) - 1 > 1  # more than one inner solve
         assert len(calls) == 1
+
+
+def _scene_problems():
+    """Fits of three folds of the shipped scene: α/β cells at two dims, a fit
+    with no outer step, one whose inner solves stop at a cap of 15, and one
+    with its own mu0, whose solves stack apart from the rest of its dim."""
+    from pathlib import Path
+
+    from cospace import data, experiment
+
+    spec = data.SceneSpec.from_json(
+        (Path(__file__).resolve().parents[1] / "data" / "metamer_scene.json").read_text())
+    ds, _, _ = data.make_synthetic_scene(spec)
+    folds = [experiment._subset(ds, train) for train, _ in
+             experiment.kfold_split(ds.num_samples, 3, 0)]
+    cells = [(4, 0.1, 0.01, {}), (4, 1.0, 0.1, {}), (2, 0.1, 0.1, {}),
+             (2, 1.0, 0.01, {}), (4, 0.1, 0.01, {"outer_max_iter": 0}),
+             (4, 0.1, 0.1, {"inner_max_iter": 15}), (4, 1.0, 0.01, {"mu0": 1e-2})]
+    return [(fold, solver.make_hyperparams(alpha, beta, dim,
+                                           {"outer_max_iter": 6, **extra}))
+            for dim, alpha, beta, extra in cells for fold in folds]
+
+
+def _stack_spy(monkeypatch):
+    """Record the requests of every stacked inner solve."""
+    calls = []
+    stack = solver._admm_stack
+
+    def spy(requests):
+        calls.append(requests)
+        return stack(requests)
+
+    monkeypatch.setattr(solver, "_admm_stack", spy)
+    return calls
+
+
+class TestFitMany:
+    def test_equals_fit_bit_for_bit(self, monkeypatch):
+        problems = _scene_problems()
+        solves = []
+        lone = solver.solve_theta_admm
+        with monkeypatch.context() as m:
+            m.setattr(solver, "solve_theta_admm",
+                      lambda *args: solves.append(lone(*args)) or solves[-1])
+            expected = [solver.fit(ds, hyper) for ds, hyper in problems]
+        # the set holds a solve that converges before its cap and one that stops at it
+        assert any(r.converged and r.iterations < 500 for r in solves)
+        assert any(not r.converged and r.iterations == 15 for r in solves)
+        calls = _stack_spy(monkeypatch)
+        models = solver.fit_many(problems)
+        assert len(models) == len(problems)
+        for model, want in zip(models, expected):
+            assert np.array_equal(model.theta, want.theta)
+            assert np.array_equal(model.p, want.p)
+            assert model.objective_trace == want.objective_trace
+            assert model.converged == want.converged
+            assert model.hyper == want.hyper
+            for name in ("ref_embeddings", "ref_labels", "ref_modalities"):
+                assert np.array_equal(getattr(model, name), getattr(want, name))
+        assert expected[12].objective_trace == expected[12].objective_trace[:1]
+        # the other mu0 and the other cap stack apart: three dim-4 stacks in round 1
+        first_round = [requests[0][3] for requests in calls[:4]]
+        assert sorted((h.dim, h.mu0, h.inner_max_iter) for h in first_round) == [
+            (2, 1e-3, 500), (4, 1e-3, 15), (4, 1e-3, 500), (4, 1e-2, 500)]
+        for requests in calls:
+            assert len({(h.dim, h.mu0, h.inner_max_iter) for _, _, _, h, _ in requests}) == 1
+
+    def test_one_stacked_solve_per_round_and_dim(self, monkeypatch):
+        problems = [(ds, hyper) for ds, hyper in _scene_problems() if hyper.mu0 == 1e-3
+                    and hyper.inner_max_iter == 500 and hyper.outer_max_iter > 0]
+        calls = _stack_spy(monkeypatch)
+        models = solver.fit_many(problems)
+        for dim in (2, 4):
+            solves = [len(m.objective_trace) - 1 for m in models if m.dim == dim]
+            sizes = [len(requests) for requests in calls if requests[0][3].dim == dim]
+            # round r stacks every fit of the dim that makes an r-th inner solve
+            assert sizes == [sum(n >= r for n in solves) for r in range(1, max(solves) + 1)]
+            assert sizes[0] == 6
+        assert len(calls) < sum(len(m.objective_trace) - 1 for m in models)
+
+    def test_empty(self):
+        assert solver.fit_many([]) == []
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param((_toy_dataset(0, d_m=2, d_h=3), solver.Hyperparams(dim=6)), id="dim"),
+        pytest.param((PairedDataset(ms=np.ones((2, 3)), hs=np.ones((3, 3)), labels=[1, 1, 1],
+                                    num_classes=1), solver.Hyperparams(dim=2)), id="one-class"),
+    ])
+    def test_raises_what_fit_raises(self, bad):
+        with pytest.raises(ValidationError) as lone:
+            solver.fit(*bad)
+        good = (_toy_dataset(1), solver.Hyperparams(alpha=0.1, beta=0.01, dim=2))
+        with pytest.raises(type(lone.value)) as many:
+            solver.fit_many([good, bad])
+        assert str(many.value) == str(lone.value)
 
 
 class TestEmbed:
