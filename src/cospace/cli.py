@@ -61,6 +61,8 @@ def cmd_transform(args):
 
 
 def cmd_predict(args):
+    if args.pgm and min(args.width or 0, args.height or 0) < 1:
+        raise ValidationError("--pgm requires a positive --width and --height")
     model = solver.load_model(args.model)
     x, _ = data.load_csv(args.input)
     if args.classifier == "p":
@@ -75,8 +77,6 @@ def cmd_predict(args):
                                             args.linear_lambda)
     data.save_predictions(args.out, pred)
     if args.pgm:
-        if not (args.width and args.height):
-            raise ValidationError("--pgm requires --width and --height")
         classify.write_pgm(args.pgm, pred, args.width, args.height,
                            max_label=model.num_classes)
     print(f"wrote {len(pred)} predictions to {args.out}")

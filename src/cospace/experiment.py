@@ -226,6 +226,8 @@ def resolve_config(config):
         _check_method(method)
     lam = config.get("linear_lambda", 1e-3)
     check_number("config linear_lambda", lam, Real)
+    if lam <= 0:
+        raise ValidationError(f"config linear_lambda must be positive, got {lam!r}")
     grid = GridSpec.from_dict(config.get("grid", {}))
     if "seed" in config:
         grid = replace(grid, seed=config["seed"])

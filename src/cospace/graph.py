@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-KNN_BLOCK_ENTRIES = 2**20  # float64 entries per kNN search block or pencil strip: 8 MB
+KNN_BLOCK_ENTRIES = 2**20  # float64 entries per kNN search block or adjacency check strip: 8 MB
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,28 @@ def knn_gaussian_adjacency(features, k, sigma):
     return knn_graph(features, k, sigma).toarray()
 
 
+def _check_adjacency(w):
+    """Raise a ValidationError unless the dense `w` is square, symmetric within
+    1e-12 and nonnegative. It reads `w` in row strips of about 8 MB and
+    compares tiles with their mirrors, so it makes no second (2N)^2 array."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValidationError("adjacency must be square")
+    n = w.shape[0]
+    step = max(1, KNN_BLOCK_ENTRIES // max(n, 1))
+    for j in range(0, n, step):
+        rows = w[j:j + step]
+        for k in range(j, n, step):  # the strip's upper tiles against their mirrors
+            if np.max(np.abs(rows[:, k:k + step] - w[k:k + step, j:j + step].T)) > 1e-12:
+                raise ValidationError("adjacency must be symmetric within 1e-12")
+        if rows.min() < 0:
+            raise ValidationError("adjacency weights must be nonnegative")
+
+
 def laplacian(w) -> JointGraph:
     """Combinatorial Laplacian L = D - W from a symmetric adjacency: a dense
     reference for tests and the benchmark's checks, which `pencil` does not call."""
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError("adjacency must be square")
-    if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
-        raise ValidationError("adjacency must be symmetric within 1e-12")
-    if np.any(w < 0):
-        raise ValidationError("adjacency weights must be nonnegative")
+    _check_adjacency(w)
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
     d = np.diag(w.sum(axis=1))
@@ -99,37 +111,18 @@ def pencil(xtilde, w):
 
     The only place where an adjacency becomes matrices: CoSpace's alignment
     term and the LPP baselines see a graph through these D x D products alone.
-    A scipy.sparse `w`, such as a `knn_graph`, must be symmetric and is never
-    densified. A dense one is checked and read in row strips, so no second
-    (2N)^2 array is made; its D counts no self-loops, as in `laplacian`.
+    `w` is a dense array, which is checked, or a scipy.sparse matrix, such as a
+    `knn_graph`, which must be symmetric and is never densified. As in
+    `laplacian`, D counts no self-loops, and L cancels them.
     """
     xtilde = np.asarray(xtilde, dtype=float)
-    if hasattr(w, "tocsr"):  # scipy.sparse, tested without importing it
-        deg = w @ np.ones(w.shape[0])
-        # L X^T at N x D, as the dense strips do: a D x D difference would cancel
-        return xtilde @ (deg[:, None] * xtilde.T - w @ xtilde.T), (xtilde * deg) @ xtilde.T
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError("adjacency must be square")
-    n = w.shape[0]
-    if n != xtilde.shape[1]:
+    if not hasattr(w, "tocsr"):  # scipy.sparse, tested without importing it
+        w = np.asarray(w, dtype=float)
+        _check_adjacency(w)
+    if w.shape[0] != xtilde.shape[1]:
         raise ValidationError("graph size does not match the stacked sample count")
-    # X L X^T as (X L) X^T, L formed as in `laplacian` one row strip at a time:
-    # X D X^T - X W X^T would cancel at D x D and lose the digits of small entries
-    step = max(1, KNN_BLOCK_ENTRIES // max(n, 1))
-    deg = np.empty(n)
-    xl = np.empty_like(xtilde)
-    for j in range(0, n, step):
-        rows = w[j:j + step]
-        for k in range(j, n, step):  # the strip's upper blocks against their mirrors
-            if np.max(np.abs(rows[:, k:k + step] - w[k:k + step, j:j + step].T)) > 1e-12:
-                raise ValidationError("adjacency must be symmetric within 1e-12")
-        if rows.min() < 0:
-            raise ValidationError("adjacency weights must be nonnegative")
-        strip = rows.copy()  # -L's rows: W with the negated degrees on the diagonal
-        diag = (np.arange(strip.shape[0]), np.arange(j, j + strip.shape[0]))
-        strip[diag] = 0.0
-        deg[j:j + step] = strip.sum(axis=1)
-        strip[diag] = -deg[j:j + step]
-        np.negative(xtilde @ strip.T, out=xl[:, j:j + step])  # L is symmetric
-    return xl @ xtilde.T, (xtilde * deg) @ xtilde.T
+    deg = w @ np.ones(w.shape[0])
+    # L X^T at 2N x D: X D X^T - X W X^T would cancel at D x D and lose the
+    # digits of small entries
+    return (xtilde @ (deg[:, None] * xtilde.T - w @ xtilde.T),
+            (xtilde * (deg - w.diagonal())) @ xtilde.T)

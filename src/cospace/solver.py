@@ -325,8 +325,8 @@ def _fit_steps(ds: PairedDataset, hyper: Hyperparams):
     """The BCD loop of one fit, as a generator that returns its CoSpaceModel.
 
     It yields each inner solve's arguments, in `solve_theta_admm`'s order, and
-    is sent that solve's AdmmResult. It holds the fit's stacked system, which
-    is O(D N), until it returns.
+    is sent that solve's AdmmResult. It drops the fit's stacked system, which
+    is O(D N), once set-up is done: the loop runs on the thin factor.
     """
     if ds.num_classes < 2:
         raise ValidationError("training data must contain at least 2 classes")
@@ -338,7 +338,7 @@ def _fit_steps(ds: PairedDataset, hyper: Hyperparams):
             "is infeasible"
         )
     stacked_labels = np.concatenate([ds.labels, ds.labels])
-    xlxt, _ = pencil(sys.xtilde, lda_like_adjacency(stacked_labels))
+    xlxt = pencil(sys.xtilde, lda_like_adjacency(stacked_labels))[0]
     # with Z = [Ytilde; Xtilde] and Z^T = Q R, R^T has Z's Grams, and J, Lambda1,
     # Ytilde and Theta Xtilde stay in Z's row space: the loop runs on R^T, free of N
     c = sys.ytilde.shape[0]
@@ -347,6 +347,7 @@ def _fit_steps(ds: PairedDataset, hyper: Hyperparams):
     gen_eig = factor_theta_system(factor.xtilde @ factor.xtilde.T, xlxt)
 
     theta = _pca_rows(sys.xtilde, hyper.dim)
+    del sys
     p = update_p(factor.ytilde, theta @ factor.xtilde, hyper.alpha)
     trace = [objective(factor, xlxt, p, theta, hyper).total]
     converged = False
@@ -369,13 +370,13 @@ def _fit_steps(ds: PairedDataset, hyper: Hyperparams):
     return CoSpaceModel(
         theta=theta,
         p=p,
-        d_m=sys.d_m,
-        d_h=sys.d_h,
+        d_m=factor.d_m,
+        d_h=factor.d_h,
         num_classes=ds.num_classes,
         hyper=hyper,
         objective_trace=tuple(trace),
         converged=converged,
-        ref_embeddings=theta @ sys.xtilde,
+        ref_embeddings=np.hstack([theta[:, :factor.d_m] @ ds.ms, theta[:, factor.d_m:] @ ds.hs]),
         ref_labels=stacked_labels,
         ref_modalities=np.array([0] * ds.num_samples + [1] * ds.num_samples),
     )
@@ -411,7 +412,8 @@ def fit_many(problems) -> list:
     The fits advance in lockstep, one outer step per round. In a round, the
     inner solves that share their shapes and `ADMM_SETTINGS` run as one
     stacked ADMM, so a grid's many small fits pay numpy's per-call cost once
-    per stack, not once per fit. Every live fit holds its stacked system.
+    per stack, not once per fit. A live fit holds its thin factor, not its
+    stacked system.
     """
     steps = [_fit_steps(ds, hyper) for ds, hyper in problems]
     models = [None] * len(steps)

@@ -142,6 +142,16 @@ class TestPipeline:
                          "--pgm", str(pgm),
                          "--out", str(tmp_path / "pred.csv")]) == 1
 
+    # the scene has 30 test pixels, so -3 x -10 fills the map
+    @pytest.mark.parametrize("size", [[], ["--width", "10"], ["--width", "-3", "--height", "-10"],
+                                      ["--width", "0", "--height", "30"]])
+    def test_predict_pgm_rejects_a_bad_size_before_writing(self, tmp_path, size):
+        scene_dir, model_path, _ = self._fitted_scene(tmp_path)
+        out, pgm = tmp_path / "pred.csv", tmp_path / "map.pgm"
+        assert cli.main(["predict", "--model", str(model_path),
+                         "--input", str(scene_dir / "test_ms.csv"), "--pgm", str(pgm), *size,
+                         "--out", str(out)]) == 1
+        assert not out.exists() and not pgm.exists()
 
     def _fitted_scene(self, tmp_path):
         _write_scene(tmp_path / "scene.json")
@@ -393,6 +403,10 @@ class TestBatchCommands:
                      id="lambda-str"),
         pytest.param(lambda c, d: c.update(linear_lambda=True), "linear_lambda",
                      id="lambda-bool"),
+        pytest.param(lambda c, d: c.update(linear_lambda=0), "linear_lambda",
+                     id="lambda-zero"),
+        pytest.param(lambda c, d: c.update(linear_lambda=-1e-3), "linear_lambda",
+                     id="lambda-negative"),
         pytest.param(lambda c, d: c.update(grd={}), "'grd'", id="top-level-typo"),
         pytest.param(lambda c, d: c["grid"].update(fold=2), "'fold'", id="grid-typo"),
         pytest.param(lambda c, d: c.update(hyper={"foo": 1}, methods=["pjdr"]), "'foo'",
@@ -431,6 +445,19 @@ class TestBatchCommands:
         assert errors[0] == errors[1]
         assert "error: validation" in errors[0] and named in errors[0]
 
+    def test_nonpositive_linear_lambda_fits_nothing(self, tmp_path, monkeypatch, capsys):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text())
+        config["linear_lambda"] = 0
+        path.write_text(json.dumps(config))
+        calls = []
+        monkeypatch.setattr(experiment, "grid_search", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(experiment, "fit_method", lambda *a, **k: calls.append(a))
+        assert cli.main(["benchmark", "--config", str(path),
+                         "--out", str(tmp_path / "bench")]) == 1
+        assert "linear_lambda must be positive" in capsys.readouterr().err
+        assert calls == []
+
     def test_gridsearch_uses_the_grid_seed(self, tmp_path):
         # without a top-level seed, both batch commands score grid.seed's folds
         config_path = self._config(tmp_path)
@@ -462,4 +489,18 @@ class TestConsoleScript:
     def test_entry_point_and_thread_cap(self, tmp_path):
         out = subprocess.run(["cospace", "--help"], capture_output=True, text=True)
         assert out.returncode == 0
+        assert "simulate" in out.stdout and "benchmark" in out.stdout
+
+    def test_declared_entry_point_runs(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(REPO / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["cospace"]
+        module, _, func = target.partition(":")
+        # what the installed script does: exit with the entry point's return value
+        script = f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script, "--help"], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
         assert "simulate" in out.stdout and "benchmark" in out.stdout

@@ -175,8 +175,7 @@ class TestSparsePencil:
     def test_small_entries_keep_their_digits(self, seed):
         from scipy import sparse
 
-        # against the exact product: on draw 4693 the dense branch itself rounds
-        # the smallest entry 2.2e-12 away from it, the sparse branch 6.9e-13
+        # against the exact product, as TestDensePencil checks a dense `w`
         x, w = _quadratic_form_draw(seed)
         a, b = graph.pencil(x, sparse.csr_matrix(w))
         np.testing.assert_allclose(a, _exact_laplacian_form(x, w), rtol=1e-12, atol=0)
@@ -251,7 +250,12 @@ class TestLaplacian:
 class TestDensePencil:
     @pytest.mark.parametrize("seed", [648, 2774, 4693])
     def test_small_entries_keep_their_digits(self, seed):
-        _assert_pencil_matches_dense(*_quadratic_form_draw(seed))
+        # against the exact product: on draw 4693, x @ laplacian(w).lap @ x.T
+        # rounds the smallest entry 2.2e-12 away from it, the pencil 6.9e-13
+        x, w = _quadratic_form_draw(seed)
+        a, b = graph.pencil(x, w)
+        np.testing.assert_allclose(a, _exact_laplacian_form(x, w), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b, x @ graph.laplacian(w).d @ x.T, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("rows", [1, 5, 12])
     def test_strips_match_dense_laplacian(self, rows):
@@ -264,11 +268,17 @@ class TestDensePencil:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nonzero_diagonal_cancels(self, seed):
-        # laplacian drops self-loops: pencil's D must not count them, and its L cancels them
+        # laplacian drops self-loops: pencil's D must not count them, and its L
+        # cancels them, for a dense and for a sparse `w` alike
+        from scipy import sparse
+
         rng = np.random.default_rng(seed)
         w = rng.random((12, 12))
         w = 0.5 * (w + w.T) + np.diag(rng.random(12) + 1.0)
-        _assert_pencil_matches_dense(rng.standard_normal((4, 12)), w)
+        x = rng.standard_normal((4, 12))
+        _assert_pencil_matches_dense(x, w)
+        for got, want in zip(graph.pencil(x, sparse.csr_matrix(w)), graph.pencil(x, w)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("side", [1, 3, 4])
     @pytest.mark.parametrize("fault", ["upper", "lower", "corner", "negative", "negative-diag",

@@ -516,6 +516,27 @@ class TestFitMany:
             solver.fit_many([good, bad])
         assert str(many.value) == str(lone.value)
 
+    def test_live_fits_hold_no_stacked_system(self):
+        import tracemalloc
+
+        ds = _toy_dataset(2, n_per_class=200, d_m=5, d_h=40)
+        xtilde_bytes = stack_system(ds).xtilde.nbytes
+
+        def peak(fits):
+            problems = [(ds, solver.Hyperparams(alpha=0.01 * (i + 1), dim=2, outer_max_iter=1,
+                                                inner_max_iter=20)) for i in range(fits)]
+            tracemalloc.start()
+            try:
+                solver.fit_many(problems)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # loads the scipy solvers, whose import tracemalloc would count
+        # each extra live fit holds its thin factor and references, not its D x 2N X~
+        per_fit = (peak(10) - peak(1)) / 9
+        assert per_fit < 0.5 * xtilde_bytes, f"{per_fit / 2**10:.0f} KiB per extra fit"
+
 
 class TestEmbed:
     def test_partition_consistency(self):
