@@ -9,8 +9,10 @@ thread pool that numpy and scipy load (`environment.blas_threads`); every
 run's result line; per side, the count of runs that exited non-zero, the
 count that printed `"correct": false` and the summed failed and attempted
 operations; and, per metric, the medians of both sides, the parent's quartiles
-and the number of pairs in which the change was better. The medians leave out
-every run that exited non-zero or printed `"correct": false`:
+and the number of pairs in which the change was better. Each end-to-end metric
+is also flagged `beyond_bound` or `unresolved` against its `bound` (see
+`summarize`), and the flagged metrics are printed to stderr at the end. The
+medians leave out every run that exited non-zero or printed `"correct": false`:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload large_fits --seeds 1 2 3 4 5 --out BENCH.json
@@ -61,10 +63,14 @@ def health(runs):
     return out
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds):
     """Per metric: both medians, the parent's quartiles, and the pairs won.
 
-    Only runs that exited 0 and printed "correct": true count.
+    An end-to-end metric (one with a relative bound in `bounds`) also gets two
+    flags: `beyond_bound`, when the change's median is worse than the
+    parent's by more than the bound, and `unresolved`, when the parent's
+    interquartile range exceeds the bound times its median. Only runs that
+    exited 0 and printed "correct": true count.
     """
     values = {side: {} for side in SIDES}  # side -> metric -> seed -> value
     for side in SIDES:
@@ -90,6 +96,10 @@ def summarize(runs, better):
             entry["pairs"] = len(seeds)
             entry["pairs_change_better"] = sum(sign * (parent[s] - change[s]) > 0
                                                for s in seeds)
+            if name in bounds and entry["relative_change"] is not None:
+                entry["beyond_bound"] = sign * entry["relative_change"] > bounds[name]
+                entry["unresolved"] = (entry["parent_q3"] - entry["parent_q1"]
+                                       > bounds[name] * abs(entry["parent_median"]))
         out[name] = entry
     return out
 
@@ -108,6 +118,7 @@ def main(argv=None):
         declared = json.load(fh)
     seconds = declared["run_seconds"]
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     doc = {"workloads": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -133,12 +144,19 @@ def main(argv=None):
                 runs[side].append(run)
                 print(f"{workload} seed {seed} {side}: {run['stderr'][-1:]}", file=sys.stderr)
                 entry["health"] = health(runs)
-                entry["metrics"] = summarize(runs, better)
+                entry["metrics"] = summarize(runs, better, bounds)
                 tmp = args.out + ".tmp"
                 with open(tmp, "w") as fh:
                     json.dump(doc, fh, indent=1, sort_keys=True)
                     fh.write("\n")
                 os.replace(tmp, args.out)
+    for key, entry in doc["workloads"].items():
+        for name, metric in entry["metrics"].items():
+            for flag in ("beyond_bound", "unresolved"):
+                if metric.get(flag):
+                    print(f"{flag}: {key} {name} parent median {metric['parent_median']:.6g} "
+                          f"(quartiles {metric['parent_q1']:.6g}-{metric['parent_q3']:.6g}), "
+                          f"change median {metric['change_median']:.6g}", file=sys.stderr)
 
 
 if __name__ == "__main__":

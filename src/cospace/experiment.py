@@ -71,16 +71,8 @@ def kfold_split(n, folds, seed):
     if folds < 2:
         raise ValidationError("folds must be at least 2")
     perm = np.random.default_rng(seed).permutation(n)
-    sizes = np.full(folds, n // folds)
-    sizes[: n % folds] += 1
-    splits = []
-    start = 0
-    for size in sizes:
-        val = np.sort(perm[start : start + size])
-        train = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
-        splits.append((train, val))
-        start += size
-    return splits
+    return [(np.setdiff1d(np.arange(n), val), np.sort(val))
+            for val in np.array_split(perm, folds)]
 
 
 @dataclass(frozen=True)
@@ -138,34 +130,27 @@ def method_grid_cells(method, grid: GridSpec):
     return [dict(zip(axes, cell)) for cell in itertools.product(*values)]
 
 
-def _fold_fits(ds, method, cells, splits, hyper_overrides):
-    """Yield the FittedMethod of each cell on each fold's training part, cell
-    by cell. CoSpace fits every (cell, fold) of a dim in one lockstep
-    `solver.fit_many`; the cells come in dim order, so a dim's cells are
-    consecutive."""
-    if method != "cospace":
-        for params in cells:
-            for train_idx, _ in splits:
-                yield fit_method(_subset(ds, train_idx), method, params, hyper_overrides)
-        return
-    for _, same_dim in itertools.groupby(cells, key=lambda params: params["dim"]):
-        problems = [(_subset(ds, train_idx), _cospace_hyper(params, hyper_overrides))
-                    for params in same_dim for train_idx, _ in splits]
-        for model in solver.fit_many(problems):
-            yield _fitted_cospace(model)
-
-
 def _cv_scores(ds, method, cells, splits, hyper_overrides):
-    """Each cell's mean validation OA over the folds."""
-    fits = _fold_fits(ds, method, cells, splits, hyper_overrides)
-    scores = []
-    for _ in cells:
-        fold_oa = []
-        for (_, val_idx), fitted in zip(splits, fits):
-            pred = classify.knn1_predict(fitted.references, fitted.embed_ms(ds.ms[:, val_idx]))
-            fold_oa.append(float(np.mean(pred == ds.labels[val_idx])))
-        scores.append(float(np.mean(fold_oa)))
-    return scores
+    """Each cell's mean validation OA over the folds.
+
+    Each fold's training set and validation slice are built once and shared
+    by every cell. CoSpace fits every (cell, fold) of a dim in one lockstep
+    `solver.fit_many`; the cells come in dim order, so a dim's cells are
+    consecutive.
+    """
+    train = [_subset(ds, train_idx) for train_idx, _ in splits]
+    val = [(ds.ms[:, val_idx], ds.labels[val_idx]) for _, val_idx in splits]
+    if method == "cospace":
+        fits = (_fitted_cospace(model)
+                for _, same_dim in itertools.groupby(cells, key=lambda params: params["dim"])
+                for model in solver.fit_many([(fold, _cospace_hyper(params, hyper_overrides))
+                                              for params in same_dim for fold in train]))
+    else:
+        fits = (fit_method(fold, method, params, hyper_overrides)
+                for params in cells for fold in train)
+    oa = [float(np.mean(classify.knn1_predict(fit.references, fit.embed_ms(ms)) == labels))
+          for fit, (ms, labels) in zip(fits, itertools.cycle(val))]
+    return [float(np.mean(oa[i:i + len(val)])) for i in range(0, len(oa), len(val))]
 
 
 def grid_search(ds: PairedDataset, method, grid: GridSpec, hyper_overrides=None):
@@ -178,13 +163,10 @@ def grid_search(ds: PairedDataset, method, grid: GridSpec, hyper_overrides=None)
         return {"params": {}, "score": None}, []
     cells = method_grid_cells(method, grid)
     splits = kfold_split(ds.num_samples, grid.folds, grid.seed)
-    table = []
-    best = None
-    for params, score in zip(cells, _cv_scores(ds, method, cells, splits, hyper_overrides)):
-        table.append({"params": params, "score": score})
-        if best is None or score > best["score"]:
-            best = {"params": params, "score": score}
-    return best, table
+    table = [{"params": params, "score": score}
+             for params, score in zip(cells, _cv_scores(ds, method, cells, splits,
+                                                        hyper_overrides))]
+    return max(table, key=lambda row: row["score"]), table
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +197,9 @@ def resolve_config(config):
     """Check a `gridsearch`/`benchmark` config and return (dataset, grid,
     hyper overrides, methods, linear_lambda).
 
-    A top-level `seed` overrides `grid.seed`; without either the seed is 0.
+    A top-level `seed` overrides `grid.seed`; without either the seed is 0. A
+    grid dim above d_M + d_H is rejected, before any fit, if a projection
+    method is configured.
     """
     check_keys("config", config, ("dataset", "methods", "grid", "hyper", "seed",
                                   "linear_lambda"), required=("dataset", "methods"))
@@ -233,7 +217,11 @@ def resolve_config(config):
         grid = replace(grid, seed=config["seed"])
     # checks the override block even when no CoSpace cell is fitted
     solver.make_hyperparams(grid.alphas[0], grid.betas[0], grid.dims[0], config.get("hyper"))
-    return _load_dataset(config["dataset"]), grid, config.get("hyper"), methods, lam
+    dataset = _load_dataset(config["dataset"])
+    d_total = dataset[0].ms.shape[0] + dataset[0].hs.shape[0]
+    if max(grid.dims) > d_total and any(method in METHOD_AXES for method in methods):
+        raise ValidationError(f"grid dim {max(grid.dims)} exceeds d_M+d_H={d_total}")
+    return dataset, grid, config.get("hyper"), methods, lam
 
 
 def run_benchmark(config):

@@ -489,9 +489,13 @@ def _model_array(name, value, shape, kind=Real):
             want not in (None, got) for want, got in zip(shape, arr.shape)):
         want = " x ".join("n" if length is None else str(length) for length in shape)
         raise ValidationError(f"model {name} must be a {want} array, got shape {arr.shape}")
-    for v in arr.flat:
-        check_number(f"model {name} entry", v, kind)
-    return arr.astype(float if kind is Real else int)
+    dtype = float if kind is Real else int
+    # checked in bulk when every entry is a plain int or float; the loop names the first bad one
+    if (not set(map(type, arr.flat)) <= ({int, float} if kind is Real else {int})
+            or not np.isfinite(arr.astype(dtype)).all()):
+        for v in arr.flat:
+            check_number(f"model {name} entry", v, kind)
+    return arr.astype(dtype)
 
 
 def model_from_dict(doc) -> CoSpaceModel:

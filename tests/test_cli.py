@@ -458,6 +458,33 @@ class TestBatchCommands:
         assert "linear_lambda must be positive" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["gridsearch", "benchmark"])
+    def test_grid_dim_above_the_band_count_fits_nothing(self, tmp_path, monkeypatch,
+                                                         capsys, command):
+        # the test scene has d_M + d_H = 3 + 12 = 15 bands
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text())
+        config["grid"]["dims"] = [2, 20]
+        path.write_text(json.dumps(config))
+        calls = []
+        monkeypatch.setattr(experiment, "fit_method", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(solver, "fit_many", lambda *a, **k: calls.append(a))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: validation" in err and "grid dim 20 exceeds d_M+d_H=15" in err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_dim_above_the_band_count_is_no_error_for_baseline(self, tmp_path):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text())
+        config.update(methods=["baseline"])
+        config["grid"]["dims"] = [20]
+        path.write_text(json.dumps(config))
+        for command in ("gridsearch", "benchmark"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 0
+
     def test_gridsearch_uses_the_grid_seed(self, tmp_path):
         # without a top-level seed, both batch commands score grid.seed's folds
         config_path = self._config(tmp_path)

@@ -77,6 +77,20 @@ class TestKfoldSplit:
         assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b))
         assert any(not np.array_equal(x[1], y[1]) for x, y in zip(a, c))
 
+    @pytest.mark.parametrize("n, folds, seed", [(2, 2, 0), (11, 3, 1), (159, 12, 123)])
+    def test_blocks_are_consecutive_slices_of_the_permutation(self, n, folds, seed):
+        # the first n % folds blocks hold one extra sample; each part is sorted
+        perm = np.random.default_rng(seed).permutation(n)
+        start = 0
+        for i, (train, val) in enumerate(experiment.kfold_split(n, folds, seed)):
+            size = n // folds + (i < n % folds)
+            block = perm[start:start + size]
+            assert val.tolist() == sorted(block.tolist())
+            assert train.tolist() == sorted(set(range(n)) - set(block.tolist()))
+            assert train.dtype == val.dtype == perm.dtype
+            start += size
+        assert start == n
+
     def test_too_many_folds(self):
         with pytest.raises(ValidationError):
             experiment.kfold_split(3, 4, seed=0)
@@ -206,6 +220,34 @@ class TestGridSearch:
             oracle.append({"params": params, "score": float(np.mean(oas))})
         assert table == oracle
         assert best == max(oracle, key=lambda row: row["score"])
+
+    def test_cospace_fits_share_each_fold(self, monkeypatch):
+        # each dim's fit_many sees one training set per fold, shared by its cells
+        from cospace import solver
+
+        seen = []
+        fit_many = solver.fit_many
+
+        def spy(problems):
+            seen.append((len(problems), len({id(ds) for ds, _ in problems}),
+                         all(isinstance(ds, PairedDataset) for ds, _ in problems)))
+            return fit_many(problems)
+
+        monkeypatch.setattr(solver, "fit_many", spy)
+        grid = experiment.GridSpec(dims=(2, 3), alphas=(1.0, 0.1), betas=(0.01,),
+                                   ks=(3,), sigmas=(1.0,), folds=4, seed=0)
+        experiment.grid_search(_dataset(), "cospace", grid, {"outer_max_iter": 2})
+        assert seen == [(2 * 4, 4, True)] * 2
+
+    def test_baseline_grid_builds_each_fold_once(self, monkeypatch):
+        calls = []
+        subset = experiment._subset
+        monkeypatch.setattr(experiment, "_subset",
+                            lambda ds, idx: calls.append(idx) or subset(ds, idx))
+        grid = experiment.GridSpec(dims=(2, 3), ks=(3, 4), sigmas=(0.5, 1.0), folds=3)
+        _, table = experiment.grid_search(_dataset(), "lusma", grid)
+        assert len(table) == 8
+        assert len(calls) == 3
 
     def test_baseline_has_no_grid(self):
         assert experiment.grid_search(_dataset(), "baseline", SMALL_GRID) == (

@@ -8,11 +8,35 @@ from cospace.errors import ValidationError
 
 
 def _assert_pencil_matches_dense(x, w):
-    """graph.pencil(x, w) against X L X^T and X D X^T with the dense L and D."""
-    g = graph.laplacian(w)
-    a, b = graph.pencil(x, w)
-    np.testing.assert_allclose(a, x @ g.lap @ x.T, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(b, x @ g.d @ x.T, rtol=1e-12, atol=0)
+    """graph.pencil(x, w) against the exact X L X^T and X D X^T, entry by entry.
+
+    The bound follows the standard rounding model (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3): with u = 2^-53 and
+    gamma_k = k u / (1 - k u), a sum of k products is within gamma_k of the
+    sum of their absolute values, in any order. Let n be the size of W and
+    M = diag(W 1) + W, which is |L| when W has no self-loops.
+    - `pencil` forms deg = W 1 (gamma_{n-1}), scales X^T by it (one more
+      rounding) and subtracts W X^T (gamma_n): its L X^T is within
+      gamma_{n+1} M |X|^T.
+    - X times that adds gamma_n |X| |L X^T|, so X L X^T is within
+      gamma_{2n+1} |X| M |X|^T.
+    - X D X^T = (X * (deg - diag W)) X^T is within gamma_{2n+1} |X| diag(W 1) |X|^T.
+    The exact value, rounded once to a float, adds half an ulp. gamma_{2n+2}
+    in place of gamma_{2n+1} adds about u |X| M |X|^T of slack, far more than
+    the rounding of the bound's own float evaluation (about (2n)^2 u^2 of it).
+    Where an entry does not cancel, |X| M |X|^T is within a small factor of
+    it, and for n <= 25 the bound is near 1e-14 relative: stricter than the
+    rtol 1e-12 this replaced.
+    """
+    n = w.shape[0]
+    gamma = (2 * n + 2) * 2.0**-53 / (1 - (2 * n + 2) * 2.0**-53)
+    deg = np.diag(w.sum(axis=1))
+    ax = np.abs(x)
+    for got, exact, m in zip(graph.pencil(x, w),
+                             (_exact_laplacian_form(x, w), _exact_degree_form(x, w)),
+                             (deg + w, deg)):
+        bound = gamma * (ax @ m @ ax.T) + 0.5 * np.spacing(np.abs(exact))
+        assert np.all(np.abs(got - exact) <= bound), np.max(np.abs(got - exact) / bound)
 
 
 def _knn_oracle(x, k, sigma):
@@ -54,16 +78,32 @@ def _quadratic_form_draw(seed):
     return rng.standard_normal((2, n)), w
 
 
+def _exact_form(x, m):
+    """X M X^T in rational arithmetic, rounded once to floats; `m` holds Fractions."""
+    from fractions import Fraction
+
+    n = len(m)
+    xs = [[Fraction(v) for v in row] for row in x.tolist()]
+    return np.array([[float(sum(xi[p] * m[p][q] * xj[q] for p in range(n) for q in range(n)))
+                      for xj in xs] for xi in xs])
+
+
 def _exact_laplacian_form(x, w):
     """X L X^T in rational arithmetic, rounded once to floats (L drops self-loops)."""
     from fractions import Fraction
 
     n = w.shape[0]
-    lap = [[sum(Fraction(w[p, r]) for r in range(n) if r != p) if p == q else -Fraction(w[p, q])
-            for q in range(n)] for p in range(n)]
-    return np.array([[float(sum(Fraction(x[i, p]) * lap[p][q] * Fraction(x[j, q])
-                                for p in range(n) for q in range(n)))
-                      for j in range(x.shape[0])] for i in range(x.shape[0])])
+    return _exact_form(x, [[sum(Fraction(w[p, r]) for r in range(n) if r != p) if p == q
+                            else -Fraction(w[p, q]) for q in range(n)] for p in range(n)])
+
+
+def _exact_degree_form(x, w):
+    """X D X^T in rational arithmetic, rounded once to floats (D counts no self-loops)."""
+    from fractions import Fraction
+
+    n = w.shape[0]
+    return _exact_form(x, [[sum(Fraction(w[p, r]) for r in range(n) if r != p) if p == q
+                            else Fraction(0) for q in range(n)] for p in range(n)])
 
 
 class TestLdaLikeAdjacency:

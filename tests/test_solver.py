@@ -1,11 +1,13 @@
 import dataclasses
+import json
+from numbers import Integral, Real
 
 import numpy as np
 import pytest
 
 from cospace import solver
 from cospace.data import PairedDataset, StackedSystem, stack_system
-from cospace.errors import NumericalError, ValidationError
+from cospace.errors import NumericalError, ValidationError, check_number
 from cospace.graph import laplacian, lda_like_adjacency, pencil
 
 
@@ -580,6 +582,26 @@ class TestSerialization:
         path = tmp_path / "model.json"
         solver.save_model(path, model)
         assert solver.load_model(path).ref_embeddings is None
+
+    @pytest.mark.parametrize("key, kind", [("embeddings", Real), ("labels", Integral)])
+    @pytest.mark.parametrize("bad", [True, "1", float("nan")])
+    def test_last_bad_entry_is_named(self, key, kind, bad):
+        # the bulk check must name the entry as the per-entry check does
+        n = 10_000
+        doc = solver.model_to_dict(solver.CoSpaceModel(
+            theta=np.eye(1, 2), p=np.ones((2, 1)), d_m=1, d_h=1, num_classes=2,
+            hyper=solver.Hyperparams(dim=1), objective_trace=(1.0,), converged=True,
+            ref_embeddings=np.linspace(0.0, 1.0, n)[None, :],
+            ref_labels=np.arange(n) % 2 + 1, ref_modalities=np.arange(n) // (n // 2)))
+        doc = json.loads(json.dumps(doc))
+        assert solver.model_from_dict(doc).ref_embeddings.shape == (1, n)
+        rows = doc["refs"][key]
+        (rows[0] if key == "embeddings" else rows)[-1] = bad
+        with pytest.raises(ValidationError) as want:
+            check_number(f"model refs.{key} entry", bad, kind)
+        with pytest.raises(ValidationError) as got:
+            solver.model_from_dict(doc)
+        assert str(got.value) == str(want.value)
 
 
 class TestHyperparams:
