@@ -1,9 +1,9 @@
 """Comparison projections: joint PCA and LPP-style manifold alignment.
 
-Both operate on the block-diagonal stacked system so the learned rows keep the
-[ms-part, hs-part] layout expected by the classification pipeline. The
-supervised and unsupervised alignment variants differ only in the graph
-whose pencil (`graph.pencil`) is passed to `fit_lpp`.
+The learned rows keep the [ms-part, hs-part] layout of the block-diagonal
+stacked system expected by the classification pipeline. The supervised and
+unsupervised alignment variants differ only in the pencil passed to
+`fit_lpp`: `graph.class_pencil` for LSMA, `graph.pencil` of a kNN graph for LUSMA.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def fit_pjdr(sys: StackedSystem, d) -> LinearProjection:
     return LinearProjection(theta=theta, d_m=sys.d_m, params={})
 
 
-def fit_lpp(sys: StackedSystem, pencil, d) -> LinearProjection:
-    """Smallest-eigenvalue solutions of the pencil (X L X^T, X D X^T)."""
+def fit_lpp(d_m, pencil, d) -> LinearProjection:
+    """Smallest-eigenvalue rows of the pencil (X L X^T, X D X^T); X's first d_m rows are MS."""
     from scipy.linalg import eigh  # here, so that a CLI command without a fit does not load it
     a, b = pencil
     a = 0.5 * (a + a.T)
@@ -78,5 +78,4 @@ def fit_lpp(sys: StackedSystem, pencil, d) -> LinearProjection:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
     theta = _fix_signs(evecs.T)
-    return LinearProjection(theta=theta, d_m=sys.d_m,
-                            params={"eigenvalues": evals.tolist()})
+    return LinearProjection(theta=theta, d_m=d_m, params={"eigenvalues": evals.tolist()})

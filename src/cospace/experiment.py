@@ -14,7 +14,7 @@ from . import baselines, classify, data, solver
 from .blas import single_thread
 from .data import PairedDataset
 from .errors import ValidationError, check_keys, check_number, check_numbers
-from .graph import knn_graph, lda_like_adjacency, pencil
+from .graph import class_pencil, knn_graph, pencil
 from .metrics import MetricsReport
 
 # each projection method's grid axes; GridSpec holds axis `a`'s values as `a + "s"`
@@ -104,15 +104,16 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
         return FittedMethod(np.eye(ds.ms.shape[0]), classify.ReferenceSet(ds.ms, ds.labels))
     if method == "cospace":
         return _fitted_cospace(solver.fit(ds, _cospace_hyper(params, hyper_overrides)))
-    sys = data.stack_system(ds)
-    stacked_labels = np.concatenate([ds.labels, ds.labels])
-    if method == "pjdr":
-        proj = baselines.fit_pjdr(sys, params["dim"])
+    if method == "lsma":
+        proj = baselines.fit_lpp(ds.ms.shape[0], class_pencil(ds), params["dim"])
+        emb = np.hstack([proj.theta_m @ ds.ms, proj.theta_h @ ds.hs])
     else:
-        w = (lda_like_adjacency(stacked_labels) if method == "lsma"
-             else knn_graph(sys.xtilde, params["k"], params["sigma"]))
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, w), params["dim"])
-    refs = classify.ReferenceSet(proj.theta @ sys.xtilde, stacked_labels)
+        sys = data.stack_system(ds)
+        proj = (baselines.fit_pjdr(sys, params["dim"]) if method == "pjdr" else baselines.fit_lpp(
+            sys.d_m, pencil(sys.xtilde, knn_graph(sys.xtilde, params["k"], params["sigma"])),
+            params["dim"]))
+        emb = proj.theta @ sys.xtilde
+    refs = classify.ReferenceSet(emb, np.concatenate([ds.labels, ds.labels]))
     return FittedMethod(proj.theta_m, refs, proj)
 
 

@@ -1,4 +1,4 @@
-"""Adjacency / degree / Laplacian construction over the 2N stacked samples."""
+"""Graphs over the 2N stacked samples, their band-space pencils, and LSMA's graph-free pencil."""
 
 from __future__ import annotations
 
@@ -126,3 +126,20 @@ def pencil(xtilde, w):
     # digits of small entries
     return (xtilde @ (deg[:, None] * xtilde.T - w @ xtilde.T),
             (xtilde * (deg - w.diagonal())) @ xtilde.T)
+
+
+def class_pencil(ds):
+    """`pencil(X~, lda_like_adjacency(labels twice))` from class statistics: no graph, no X~.
+    For n_k pairs in class k with means m_k, h_k, and M_c, H_c equal to M, H less their class
+    means, X L X^T = blkdiag(M_c M_c^T, H_c H_c^T) + sum_k n_k/2 v_k v_k^T, v_k = [m_k; -h_k], a
+    sum of PSD terms, and X D X^T = blkdiag(M C M^T, H C H^T) with C_ii = 1 - 1/(2 n_k)."""
+    idx = ds.labels - 1
+    n = np.bincount(idx)
+    means = [x @ ds.onehot.T / n for x in (ds.ms, ds.hs)]
+    v = np.vstack([means[0], -means[1]])
+    a, b = np.zeros((2, v.shape[0], v.shape[0]))
+    for x, mean, s in zip((ds.ms, ds.hs), means, (np.s_[:len(ds.ms)], np.s_[len(ds.ms):])):
+        xc = x - mean[:, idx]
+        a[s, s] = xc @ xc.T
+        b[s, s] = (x * (1.0 - 0.5 / n[idx])) @ x.T
+    return a + (v * (0.5 * n)) @ v.T, b

@@ -481,21 +481,29 @@ MODEL_KEYS = ("method", "dim", "d_m", "d_h", "num_classes", "hyper", "theta", "p
 REF_KEYS = ("embeddings", "labels", "modalities")
 
 
-def _model_array(name, value, shape, kind=Real):
-    """`value` as an array, or a ValidationError unless it is a nested list of
-    finite `kind` numbers of `shape` (None matches any nonzero length)."""
+def _model_array(name, value, shape, bounds=None):
+    """`value` as an array, or a ValidationError unless it is a nested list of `shape` (None
+    matches any nonzero length) of finite reals or, given `bounds`, of integers within them."""
     arr = np.array(value, dtype=object)
     if arr.ndim != len(shape) or arr.size == 0 or any(
             want not in (None, got) for want, got in zip(shape, arr.shape)):
         want = " x ".join("n" if length is None else str(length) for length in shape)
         raise ValidationError(f"model {name} must be a {want} array, got shape {arr.shape}")
-    dtype = float if kind is Real else int
-    # checked in bulk when every entry is a plain int or float; the loop names the first bad one
-    if (not set(map(type, arr.flat)) <= ({int, float} if kind is Real else {int})
-            or not np.isfinite(arr.astype(dtype)).all()):
+    kind, dtype = (Real, float) if bounds is None else (Integral, int)
+    big = np.finfo(float).max.item()  # a Python float, which compares with any int
+    low, high = bounds or (-big, big)
+    # in bulk when every entry is a plain int (or float) in range; the loop names the first bad one
+    try:
+        values = arr.astype(dtype) if set(map(type, arr.flat)) <= {int, dtype} else None
+    except OverflowError:  # an int beyond int64 or float64
+        values = None
+    if values is None or not np.all((values >= low) & (values <= high)):
         for v in arr.flat:
             check_number(f"model {name} entry", v, kind)
-    return arr.astype(dtype)
+            if not low <= v <= high:
+                raise ValidationError(f"model {name} entry must be in [{low:g}, {high:g}], "
+                                      f"got {v!r}")
+    return values
 
 
 def model_from_dict(doc) -> CoSpaceModel:
@@ -514,9 +522,9 @@ def model_from_dict(doc) -> CoSpaceModel:
     if refs is not None:
         check_keys("model refs", refs, REF_KEYS, required=REF_KEYS)
         emb = _model_array("refs.embeddings", refs["embeddings"], (doc["dim"], None))
-        labels = _model_array("refs.labels", refs["labels"], emb.shape[1:], Integral)
-        modalities = _model_array("refs.modalities", refs["modalities"], emb.shape[1:],
-                                  Integral)
+        labels = _model_array("refs.labels", refs["labels"], emb.shape[1:],
+                              (1, doc["num_classes"]))
+        modalities = _model_array("refs.modalities", refs["modalities"], emb.shape[1:], (0, 1))
     return CoSpaceModel(
         theta=_model_array("theta", doc["theta"], (doc["dim"], doc["d_m"] + doc["d_h"])),
         p=_model_array("p", doc["p"], (doc["num_classes"], doc["dim"])),

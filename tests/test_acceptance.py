@@ -308,8 +308,7 @@ def test_criterion_10_baseline_eigensolvers():
         w = 0.5 * (w + w.T)
         np.fill_diagonal(w, 0.0)
         g = laplacian(w)
-        sys = StackedSystem(xtilde=x, ytilde=np.zeros((1, n)), d_m=1, d_h=n - 1)
-        proj = baselines.fit_lpp(sys, graph.pencil(x, w), n)
+        proj = baselines.fit_lpp(1, graph.pencil(x, w), n)
         a = x @ g.lap @ x.T
         b = x @ g.d @ x.T
         a = 0.5 * (a + a.T)

@@ -73,14 +73,14 @@ class TestLpp:
 
     def test_hand_oracle_first_eigenvector(self):
         sys, g = self._pencil_case()
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, g.w), 1)
+        proj = baselines.fit_lpp(sys.d_m, pencil(sys.xtilde, g.w), 1)
         expected = np.array([2.0, 1.0]) / np.sqrt(8.0)
         assert np.allclose(proj.theta[0], expected, atol=1e-6)
         assert proj.params["eigenvalues"][0] == pytest.approx(0.0, abs=1e-6)
 
     def test_hand_oracle_both_eigenpairs(self):
         sys, g = self._pencil_case()
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, g.w), 2)
+        proj = baselines.fit_lpp(sys.d_m, pencil(sys.xtilde, g.w), 2)
         expected = np.array([[2.0, 1.0], [2.0, -1.0]]) / np.sqrt(8.0)
         assert np.allclose(proj.theta, expected, atol=1e-6)
         assert proj.params["eigenvalues"][1] == pytest.approx(2.0, abs=1e-6)
@@ -95,7 +95,7 @@ class TestLpp:
 
     def test_generalized_eigen_residual(self):
         sys, g = self._random_case()
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, g.w), 3)
+        proj = baselines.fit_lpp(sys.d_m, pencil(sys.xtilde, g.w), 3)
         a = sys.xtilde @ g.lap @ sys.xtilde.T
         b = sys.xtilde @ g.d @ sys.xtilde.T
         evals = np.asarray(proj.params["eigenvalues"])
@@ -104,13 +104,13 @@ class TestLpp:
 
     def test_b_orthonormal_rows(self):
         sys, g = self._random_case(5)
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, g.w), 3)
+        proj = baselines.fit_lpp(sys.d_m, pencil(sys.xtilde, g.w), 3)
         b = sys.xtilde @ g.d @ sys.xtilde.T
         assert np.allclose(proj.theta @ b @ proj.theta.T, np.eye(3), atol=1e-6)
 
     def test_rayleigh_quotient_minimality(self):
         sys, g = self._random_case(6)
-        proj = baselines.fit_lpp(sys, pencil(sys.xtilde, g.w), 1)
+        proj = baselines.fit_lpp(sys.d_m, pencil(sys.xtilde, g.w), 1)
         a = sys.xtilde @ g.lap @ sys.xtilde.T
         b = sys.xtilde @ g.d @ sys.xtilde.T
         v0 = proj.theta[0]
@@ -123,12 +123,12 @@ class TestLpp:
     def test_graph_size_mismatch(self):
         sys, _ = self._random_case()
         with pytest.raises(ValidationError):
-            baselines.fit_lpp(sys, pencil(sys.xtilde, np.zeros((3, 3))), 1)
+            baselines.fit_lpp(sys.d_m, pencil(sys.xtilde, np.zeros((3, 3))), 1)
 
     def test_d_too_large(self):
         sys, g = self._pencil_case()
         with pytest.raises(ValidationError):
-            baselines.fit_lpp(sys, pencil(sys.xtilde, g.w), 3)
+            baselines.fit_lpp(sys.d_m, pencil(sys.xtilde, g.w), 3)
 
 
 class TestSerialization:

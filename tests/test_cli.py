@@ -176,10 +176,12 @@ class TestPipeline:
 
     def test_predict_with_ms_refs(self, tmp_path):
         scene_dir, model_path, model = self._fitted_scene(tmp_path)
-        # give the HS copies a label of their own, so a prediction that
-        # used any of them shows
+        # give the HS copies a class of their own, so a prediction that used
+        # any of them shows; the model declares that class, with a zero row of P
         doc = json.loads(model_path.read_text())
         hs_label = model.num_classes + 1
+        doc["num_classes"] = hs_label
+        doc["p"].append([0.0] * model.dim)
         doc["refs"]["labels"] = [hs_label if modality else label for label, modality
                                  in zip(doc["refs"]["labels"], doc["refs"]["modalities"])]
         model_path.write_text(json.dumps(doc))
@@ -265,6 +267,19 @@ class TestExitCodes:
         pytest.param(lambda d: d.update(d_m="1"), "d_m", id="d_m-string"),
         pytest.param(lambda d: d["refs"]["labels"].__setitem__(0, "1"), "refs.labels",
                      id="ref-labels-string"),
+        pytest.param(lambda d: d["refs"]["labels"].__setitem__(-1, 7),
+                     "model refs.labels entry must be in [1, 2], got 7", id="ref-label-above"),
+        pytest.param(lambda d: d["refs"]["labels"].__setitem__(-1, -3),
+                     "model refs.labels entry must be in [1, 2], got -3", id="ref-label-negative"),
+        pytest.param(lambda d: d["refs"]["labels"].__setitem__(-1, 10**30),
+                     f"model refs.labels entry must be in [1, 2], got {10**30}",
+                     id="ref-label-beyond-int64"),
+        pytest.param(lambda d: d["refs"]["modalities"].__setitem__(-1, 5),
+                     "model refs.modalities entry must be in [0, 1], got 5", id="modality-5"),
+        pytest.param(lambda d: d["refs"]["modalities"].__setitem__(-1, -(10**30)),
+                     "refs.modalities", id="modality-beyond-int64"),
+        pytest.param(lambda d: d["theta"][0].__setitem__(0, 10**400), "model theta entry",
+                     id="theta-beyond-float64"),
         pytest.param(lambda d: d.update(objective_trace=5), "objective_trace", id="trace-int"),
         pytest.param(lambda d: d.update(objective_trace="abc"), "objective_trace",
                      id="trace-string"),

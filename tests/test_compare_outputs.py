@@ -1,0 +1,59 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+@pytest.mark.parametrize("angle", [1e-9, 0.3, 1.2])
+def test_largest_angle_of_a_plane_rotation(angle):
+    # rows e1, e2 against e1, cos(t) e2 + sin(t) e3: the angles are 0 and t
+    a = np.eye(3)[:2]
+    b = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(angle), np.sin(angle)]])
+    assert compare_outputs.largest_angle(a, b) == pytest.approx(angle, rel=1e-9)
+
+
+def test_largest_angle_ignores_a_basis_change():
+    a = np.random.default_rng(0).standard_normal((3, 6))
+    mix = np.array([[2.0, 1.0, 0.0], [0.0, -1.0, 3.0], [1.0, 0.0, 1.0]])
+    assert compare_outputs.largest_angle(a, mix @ a) < 1e-14
+
+
+def test_compare_reports_each_kind_of_change():
+    theta = np.eye(3, 5)
+    side = {"fit/lsma/pred": np.array([1, 2, 2, 3]), "fit/lsma/truth": np.array([1, 2, 3, 3]),
+            "fit/lsma/refs": np.ones((3, 4)), "fit/lsma/num_classes": np.array(2),
+            "fit/lsma/theta": theta, "fit/lsma/eigenvalues": np.array([0.5, 1.0, 2.0])}
+    same, _ = compare_outputs.compare(side, dict(side))
+    assert same["fit/lsma"]["identical"]
+    assert same["fit/lsma"]["changed_test_labels"] == 0
+    moved = dict(side, **{"fit/lsma/pred": np.array([1, 2, 3, 3]),
+                          "fit/lsma/theta": theta + np.outer([0.0, 0.0, 1e-3], np.eye(5)[4]),
+                          "fit/lsma/eigenvalues": np.array([0.5, 1.0, 2.0 + 2e-12])})
+    got = compare_outputs.compare(side, moved)[0]["fit/lsma"]
+    assert not got["identical"]
+    assert got["changed_test_labels"] == 1
+    assert got["max_abs_dtheta_per_row"] == [0.0, 0.0, 1e-3]
+    assert got["principal_angle_first_c"] == 0.0
+    assert got["principal_angle_all"] == pytest.approx(1e-3, rel=1e-6)
+    assert got["eigenvalue_diff"][:2] == [0.0, 0.0]
+    assert got["eigenvalue_max_rel_diff"] == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_a_tree_against_itself_is_identical(tmp_path):
+    # the child's fits on this tree, compared with themselves; git is not needed
+    out = tmp_path / "outputs.npz"
+    compare_outputs.child(out)
+    with np.load(out) as npz:
+        arrays = dict(npz)
+    checks, oa = compare_outputs.compare(arrays, arrays)
+    assert set(checks) == {f"{name}/{method}" for name in ("scene", "pairs_450", "pairs_2000")
+                           for method in ("pjdr", "lsma", "lusma")} | {"scene/baseline",
+                                                                        "scene/cospace"}
+    assert all(check["identical"] for check in checks.values())
+    assert oa["a"] == oa["b"] and set(oa["a"]) == {"baseline", "lsma", "cospace"}

@@ -157,6 +157,53 @@ class TestFitMethod:
             tracemalloc.stop()
         assert peak < 2000**2 * 8
 
+    def test_lsma_makes_no_square_array(self):
+        ds = _dataset(n_per_class=200, d_m=10, d_h=60, num_classes=5)
+        tracemalloc.start()
+        try:
+            experiment.fit_method(ds, "lsma", {"dim": 20})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000**2 * 8
+
+    def test_lsma_builds_no_graph_and_no_stacked_system(self, monkeypatch):
+        from cospace import data, graph, solver
+
+        calls = []
+
+        def refuse(name):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"an LSMA fit called {name}")
+            return spy
+
+        for module, name in [(graph, "lda_like_adjacency"), (graph, "pencil"),
+                             (experiment, "pencil"), (data, "stack_system"),
+                             (solver, "stack_system")]:
+            monkeypatch.setattr(module, name, refuse(name))
+        experiment.fit_method(_dataset(), "lsma", {"dim": 2})
+        assert calls == []
+        assert not hasattr(experiment, "lda_like_adjacency")
+
+    def test_lsma_solves_the_graph_pencil(self):
+        # the eigenvalues and the first c rows (c = 3 classes) are those of the
+        # dense 1/N_k graph's pencil; the rows beyond c span an eigenspace
+        # with one repeated eigenvalue on this class-balanced set
+        from cospace import baselines, data, graph
+
+        ds = _dataset(seed=3)
+        fitted = experiment.fit_method(ds, "lsma", {"dim": 5})
+        sys = data.stack_system(ds)
+        dense = baselines.fit_lpp(sys.d_m, graph.pencil(sys.xtilde, graph.lda_like_adjacency(
+            np.concatenate([ds.labels, ds.labels]))), 5)
+        assert np.allclose(fitted.model.params["eigenvalues"], dense.params["eigenvalues"],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(fitted.model.theta[:3], dense.theta[:3], rtol=0, atol=1e-9)
+        assert np.allclose(fitted.references.embeddings, fitted.model.theta @ sys.xtilde,
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(fitted.references.labels, np.concatenate([ds.labels, ds.labels]))
+
 
 class TestGridCells:
     def test_cospace_cell_order(self):

@@ -583,17 +583,21 @@ class TestSerialization:
         solver.save_model(path, model)
         assert solver.load_model(path).ref_embeddings is None
 
+    @staticmethod
+    def _refs_doc(n=10_000):
+        """A valid 2-class model document with n references, as JSON reads it."""
+        return json.loads(json.dumps(solver.model_to_dict(solver.CoSpaceModel(
+            theta=np.eye(1, 2), p=np.ones((2, 1)), d_m=1, d_h=1, num_classes=2,
+            hyper=solver.Hyperparams(dim=1), objective_trace=(1.0,), converged=True,
+            ref_embeddings=np.linspace(0.0, 1.0, n)[None, :],
+            ref_labels=np.arange(n) % 2 + 1, ref_modalities=np.arange(n) // (n // 2)))))
+
     @pytest.mark.parametrize("key, kind", [("embeddings", Real), ("labels", Integral)])
     @pytest.mark.parametrize("bad", [True, "1", float("nan")])
     def test_last_bad_entry_is_named(self, key, kind, bad):
         # the bulk check must name the entry as the per-entry check does
         n = 10_000
-        doc = solver.model_to_dict(solver.CoSpaceModel(
-            theta=np.eye(1, 2), p=np.ones((2, 1)), d_m=1, d_h=1, num_classes=2,
-            hyper=solver.Hyperparams(dim=1), objective_trace=(1.0,), converged=True,
-            ref_embeddings=np.linspace(0.0, 1.0, n)[None, :],
-            ref_labels=np.arange(n) % 2 + 1, ref_modalities=np.arange(n) // (n // 2)))
-        doc = json.loads(json.dumps(doc))
+        doc = self._refs_doc(n)
         assert solver.model_from_dict(doc).ref_embeddings.shape == (1, n)
         rows = doc["refs"][key]
         (rows[0] if key == "embeddings" else rows)[-1] = bad
@@ -602,6 +606,30 @@ class TestSerialization:
         with pytest.raises(ValidationError) as got:
             solver.model_from_dict(doc)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("key, first, later, allowed", [
+        ("labels", 3, 0, "[1, 2]"),
+        ("labels", -(10**30), 7, "[1, 2]"),
+        ("modalities", 2, -1, "[0, 1]"),
+        ("modalities", 10**30, 5, "[0, 1]"),
+    ])
+    def test_first_entry_out_of_range_is_named(self, key, first, later, allowed):
+        doc = self._refs_doc()
+        doc["refs"][key][5_000] = first
+        doc["refs"][key][-1] = later
+        with pytest.raises(ValidationError) as got:
+            solver.model_from_dict(doc)
+        assert str(got.value) == f"model refs.{key} entry must be in {allowed}, got {first!r}"
+
+    def test_valid_refs_are_checked_in_bulk(self, monkeypatch):
+        # no entry of a valid model goes through the per-entry loop
+        names = []
+        check = solver.check_number
+        monkeypatch.setattr(solver, "check_number",
+                            lambda name, value, kind: names.append(name) or check(name, value, kind))
+        solver.model_from_dict(self._refs_doc())
+        assert "model dim" in names
+        assert [name for name in names if name.endswith(" entry")] == []
 
 
 class TestHyperparams:
