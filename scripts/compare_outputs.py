@@ -2,8 +2,12 @@
 """Compare the fitted outputs of two revisions and print one JSON document.
 
     python3 scripts/compare_outputs.py A B
+    python3 scripts/compare_outputs.py A --perturb EPS
 
 A and B are git revisions of this repository (`HEAD~1`, a branch, a hash).
+With `--perturb EPS` the script compares A with itself, its second side fed
+inputs scaled by (1 + EPS): the training MS and HS and the test MS. At EPS =
+1e-15 that gives round-off's own spread, beside which a diff of A and B reads.
 Each is extracted with `git archive` into a temporary directory and run in a
 child process that imports its `src/`, with every BLAS pool at one thread.
 The child fits, through `experiment.fit_method`:
@@ -46,6 +50,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,8 +67,9 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # ---------------------------------------------------------------------------
 
 
-def _datasets():
-    """{name: (PairedDataset, test MS, test labels, fit parameters)}."""
+def _datasets(scale=1.0):
+    """{name: (PairedDataset, test MS, test labels, fit parameters)}, with the
+    training MS and HS and the test MS scaled by `scale`."""
     from cospace import data
 
     with open(SCENE, "r", encoding="utf-8") as fh:
@@ -86,15 +92,18 @@ def _datasets():
                + 0.3 * np.random.default_rng(1).standard_normal((60, test_labels.size)))
     pairs_2000 = (data.PairedDataset(ms=srf @ hs, hs=hs, labels=labels, num_classes=5),
                   srf @ test_hs, test_labels)
-    return {"scene": (*scene, SMALL), "pairs_450": (*pairs_450, SMALL),
-            "pairs_2000": (*pairs_2000, LARGE)}
+    return {name: (replace(ds, ms=ds.ms * scale, hs=ds.hs * scale), test_ms * scale,
+                   test_labels, params)
+            for name, (ds, test_ms, test_labels), params in (
+                ("scene", scene, SMALL), ("pairs_450", pairs_450, SMALL),
+                ("pairs_2000", pairs_2000, LARGE))}
 
 
-def child(out):
+def child(out, eps=0.0):
     from cospace import classify, experiment
 
     arrays = {}
-    for name, (ds, test_ms, test_labels, params) in _datasets().items():
+    for name, (ds, test_ms, test_labels, params) in _datasets(1.0 + eps).items():
         runs = dict(params, baseline={}, cospace=COSPACE) if name == "scene" else params
         for method, method_params in runs.items():
             fitted = experiment.fit_method(ds, method, method_params)
@@ -116,8 +125,9 @@ def child(out):
 # ---------------------------------------------------------------------------
 
 
-def run_revision(rev, workdir):
-    """Extract `rev` into `workdir`/`rev`, run the child there, return its arrays."""
+def run_revision(rev, workdir, eps=0.0):
+    """Extract `rev` into `workdir`/`rev`, run the child there on inputs scaled
+    by (1 + eps), return its arrays."""
     tree = os.path.join(workdir, rev.replace("/", "_"))
     archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                              check=True, capture_output=True).stdout
@@ -126,7 +136,8 @@ def run_revision(rev, workdir):
     out = os.path.join(tree, "outputs.npz")
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                **{var: "1" for var in THREAD_VARS})
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--child", out],
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--child", out,
+                    "--perturb", repr(eps)],
                    cwd=tree, env=env, check=True)
     with np.load(out) as npz:
         return dict(npz)
@@ -174,19 +185,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", nargs="?", help="git revision of the first side")
     parser.add_argument("b", nargs="?", help="git revision of the second side")
+    parser.add_argument("--perturb", type=float, metavar="EPS",
+                        help="compare A with itself on inputs scaled by (1 + EPS)")
     parser.add_argument("--child", help=argparse.SUPPRESS)  # the child's output file
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child)
+        child(args.child, args.perturb or 0.0)
         return 0
-    if args.b is None:
-        parser.error("give two revisions")
+    if args.a is None or (args.b is None) == (args.perturb is None):
+        parser.error("give two revisions, or one revision and --perturb")
+    b_rev, b_eps = (args.b, 0.0) if args.perturb is None else (args.a, args.perturb)
     with tempfile.TemporaryDirectory() as workdir:
         a = run_revision(args.a, os.path.join(workdir, "a"))
-        b = run_revision(args.b, os.path.join(workdir, "b"))
+        b = run_revision(b_rev, os.path.join(workdir, "b"), b_eps)
     checks, oa = compare(a, b)
-    json.dump({"a": args.a, "b": args.b, "blas_threads": 1, "checks": checks,
-               "criterion_9": oa}, sys.stdout, indent=1)
+    json.dump({"a": args.a, "b": b_rev, "perturb": args.perturb, "blas_threads": 1,
+               "checks": checks, "criterion_9": oa}, sys.stdout, indent=1)
     print()
     return 0
 

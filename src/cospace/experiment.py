@@ -110,7 +110,7 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
     else:
         sys = data.stack_system(ds)
         proj = (baselines.fit_pjdr(sys, params["dim"]) if method == "pjdr" else baselines.fit_lpp(
-            sys.d_m, pencil(sys.xtilde, knn_graph(sys.xtilde, params["k"], params["sigma"])),
+            sys.d_m, pencil(sys.xtilde, knn_graph([ds.ms, ds.hs], params["k"], params["sigma"])),
             params["dim"]))
         emb = proj.theta @ sys.xtilde
     refs = classify.ReferenceSet(emb, np.concatenate([ds.labels, ds.labels]))
@@ -200,7 +200,8 @@ def resolve_config(config):
 
     A top-level `seed` overrides `grid.seed`; without either the seed is 0. A
     grid dim above d_M + d_H is rejected, before any fit, if a projection
-    method is configured.
+    method is configured, and with LUSMA a grid k that the smallest CV training
+    fold's stacked samples cannot hold.
     """
     check_keys("config", config, ("dataset", "methods", "grid", "hyper", "seed",
                                   "linear_lambda"), required=("dataset", "methods"))
@@ -222,6 +223,11 @@ def resolve_config(config):
     d_total = dataset[0].ms.shape[0] + dataset[0].hs.shape[0]
     if max(grid.dims) > d_total and any(method in METHOD_AXES for method in methods):
         raise ValidationError(f"grid dim {max(grid.dims)} exceeds d_M+d_H={d_total}")
+    # kfold_split's largest validation block has ceil(n / folds) pairs
+    stacked = 2 * (dataset[0].num_samples - -(-dataset[0].num_samples // grid.folds))
+    if "lusma" in methods and max(grid.ks) >= stacked:
+        raise ValidationError(f"grid k {max(grid.ks)} must be smaller than the smallest CV "
+                              f"training fold's stacked sample count {stacked}")
     return dataset, grid, config.get("hyper"), methods, lam
 
 

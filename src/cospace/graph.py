@@ -33,49 +33,72 @@ def lda_like_adjacency(stacked_labels):
     return w
 
 
-def knn_graph(features, k, sigma):
-    """Heat-kernel kNN adjacency (union-symmetrized, Euclidean) as sparse CSR.
+def _norm_prefix(sq_rows, sq, k):
+    """Another block's columns that rows of squared norms `sq_rows` are searched
+    over, in index order: a prefix by squared norm, grown until the first column
+    left out is strictly beyond every row's k-th distance to the block."""
+    order = np.argsort(sq)
+    p = min(k, sq.size)
+    while p < sq.size and np.any(sq_rows + sq[order[p]] <= sq_rows + sq[order[k - 1]]):
+        p = min(2 * p, sq.size)
+    return np.sort(order[:p])
 
-    Rows are searched in blocks of about 8 MB; each row keeps its k nearest
-    columns, ties going to the lower index (the `argsort(kind="stable")` rule).
+
+def knn_graph(blocks, k, sigma):
+    """Heat-kernel kNN adjacency (union-symmetrized, Euclidean) over the columns
+    of blkdiag(blocks), as sparse CSR; one matrix is the case of one block.
+
+    Each row keeps its k nearest columns, ties going to the lower index (the
+    `argsort(kind="stable")` rule). Rows of block b are searched in blocks of
+    about 8 MB, over b's columns by one GEMM over b's rows, and over each other
+    block's `_norm_prefix`, whose columns are exactly sq_i + sq_j away.
     """
     from scipy import sparse  # here, so that a CLI command without LUSMA does not load it
 
-    features = np.asarray(features, dtype=float)
-    n = features.shape[1]
+    blocks = [np.asarray(f, dtype=float) for f in blocks]
+    n = sum(f.shape[1] for f in blocks)
     if k >= n:
         raise ValidationError(f"k={k} must be smaller than the sample count {n}")
     if k < 1:
         raise ValidationError("k must be at least 1")
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    sq = np.sum(features**2, axis=0)
-    step = max(1, KNN_BLOCK_ENTRIES // n)
-    blocks = []
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        d2 = features[:, rows].T @ features
-        d2 *= -2.0
-        d2 += sq[rows, None] + sq  # then d2 = max(sq_i + sq_j - 2 f_i.f_j, 0)
-        np.maximum(d2, 0.0, out=d2)
-        np.fill_diagonal(d2[:, start:], np.inf)
-        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]  # a copy: frees the partition
-        r, c = np.nonzero(d2 < kth)
-        # ties at the k-th distance go to the lowest indices, as in a stable argsort;
-        # nonzero lists them row by row in index order
-        tr, tc = np.nonzero(d2 == kth)
-        rank = np.arange(tr.size) - np.searchsorted(tr, tr)
-        tie = rank < k - np.bincount(r, minlength=d2.shape[0])[tr]
-        r, c = np.concatenate([r, tr[tie]]), np.concatenate([c, tc[tie]])
-        blocks.append(sparse.csr_matrix((np.exp(-d2[r, c] / (2.0 * sigma**2)), (r, c)),
-                                        shape=d2.shape))
-    w = sparse.vstack(blocks, format="csr")
+    sqs = [np.sum(f**2, axis=0) for f in blocks]
+    starts = np.cumsum([0] + [sq.size for sq in sqs])
+    parts = []
+    for b, (f, sq) in enumerate(zip(blocks, sqs)):
+        cols = [np.arange(sq.size) if c == b else _norm_prefix(sq, sq_c, k)
+                for c, sq_c in enumerate(sqs)]
+        own = sum(c.size for c in cols[:b])
+        sq_cols = np.concatenate([sq_c[c] for sq_c, c in zip(sqs, cols)])
+        cols = np.concatenate([start + c for start, c in zip(starts, cols)])  # ascending
+        step = max(1, KNN_BLOCK_ENTRIES // cols.size)
+        for start in range(0, sq.size, step):
+            rows = slice(start, start + step)
+            d2 = np.add.outer(sq[rows], sq_cols)
+            near = d2[:, own:own + sq.size]
+            near += (-2.0 * f[:, rows]).T @ f  # then max(sq_i + sq_j - 2 f_i.f_j, 0)
+            np.maximum(near, 0.0, out=near)
+            np.fill_diagonal(near[:, start:], np.inf)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]  # a copy: frees the partition
+            r, c = np.divmod(np.flatnonzero(d2 <= kth[:, None]), cols.size)
+            d2 = d2[r, c]
+            # ties at the k-th distance go to the lowest indices, as in a stable argsort;
+            # flatnonzero lists them row by row in index order
+            tie = d2 == kth[r]
+            tr = r[tie]
+            keep = ~tie
+            keep[tie] = (np.arange(tr.size) - np.searchsorted(tr, tr)
+                         < k - np.bincount(r[keep], minlength=kth.size)[tr])
+            parts.append(sparse.csr_matrix((np.exp(-d2[keep] / (2.0 * sigma**2)),
+                                            (r[keep], cols[c[keep]])), shape=(kth.size, n)))
+    w = sparse.vstack(parts, format="csr")
     return w.maximum(w.T)
 
 
 def knn_gaussian_adjacency(features, k, sigma):
-    """`knn_graph` as a dense array."""
-    return knn_graph(features, k, sigma).toarray()
+    """`knn_graph` of one block, as a dense array."""
+    return knn_graph([features], k, sigma).toarray()
 
 
 def _check_adjacency(w):

@@ -80,6 +80,8 @@ class AdmmResult:
 
     `converged`, `iterations` and both residuals describe that iterate, not
     the last one: `converged` says both its residuals are below `inner_tol`.
+    `iterations_run` counts the iterations the solve ran: `inner_max_iter`
+    for a capped solve, and `iterations` for a converged one.
     """
 
     theta: np.ndarray
@@ -87,6 +89,7 @@ class AdmmResult:
     iterations: int
     primal_residual_j: float
     primal_residual_g: float
+    iterations_run: int
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,7 @@ def _admm_stack(requests):
         if done:
             for k in done:
                 _, iterate, *rest = best[k]
-                results[live[k]] = AdmmResult(iterate.copy(), *rest)
+                results[live[k]] = AdmmResult(iterate.copy(), *rest, iteration)
             keep = [k for k in range(len(live)) if k not in done]
             if not keep:
                 break

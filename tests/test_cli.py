@@ -490,6 +490,37 @@ class TestBatchCommands:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["gridsearch", "benchmark"])
+    def test_lusma_k_above_the_smallest_fold_fits_nothing(self, tmp_path, monkeypatch, capsys,
+                                                          command):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text())
+        pairs = experiment.resolve_config(config)[0][0].num_samples
+        stacked = 2 * (pairs - -(-pairs // 3))  # 3 folds: the smallest training fold, twice
+        config.update(methods=["cospace", "pjdr", "lusma"])
+        config["grid"]["ks"] = [3, stacked]
+        path.write_text(json.dumps(config))
+        calls = []
+        monkeypatch.setattr(experiment, "fit_method", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(solver, "fit_many", lambda *a, **k: calls.append(a))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: validation" in err
+        assert f"grid k {stacked} must be smaller than" in err and f"count {stacked}" in err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_lusma_k_that_every_fold_holds_is_accepted(self, tmp_path):
+        config = json.loads(self._config(tmp_path).read_text())
+        pairs = experiment.resolve_config(config)[0][0].num_samples
+        config["grid"]["ks"] = [2 * (pairs - -(-pairs // 3)) - 1]
+        config.update(methods=["lusma"], grid=dict(config["grid"], dims=[1], sigmas=[1.0]))
+        assert experiment.resolve_config(config)[1].ks == tuple(config["grid"]["ks"])
+        # without LUSMA no k is fitted, so none is checked
+        config["grid"]["ks"] = [10**6]
+        config.update(methods=["cospace"])
+        experiment.resolve_config(config)
+
     def test_grid_dim_above_the_band_count_is_no_error_for_baseline(self, tmp_path):
         path = self._config(tmp_path)
         config = json.loads(path.read_text())

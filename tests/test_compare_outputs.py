@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +58,24 @@ def test_a_tree_against_itself_is_identical(tmp_path):
                                                                         "scene/cospace"}
     assert all(check["identical"] for check in checks.values())
     assert oa["a"] == oa["b"] and set(oa["a"]) == {"baseline", "lsma", "cospace"}
+
+
+def test_perturb_compares_a_revision_with_its_scaled_inputs(monkeypatch, capsys):
+    plain, scaled = compare_outputs._datasets(), compare_outputs._datasets(1.0 + 1e-15)
+    for (ds, test_ms, _, _), (ds_s, test_ms_s, _, _) in zip(plain.values(), scaled.values()):
+        for x, x_s in ((ds.ms, ds_s.ms), (ds.hs, ds_s.hs), (test_ms, test_ms_s)):
+            assert np.array_equal(x_s, x * (1.0 + 1e-15)) and not np.array_equal(x_s, x)
+    side = {"fit/pjdr/pred": np.array([1, 2]), "fit/pjdr/truth": np.array([1, 2]),
+            "fit/pjdr/refs": np.ones((2, 2)), "fit/pjdr/num_classes": np.array(2),
+            "fit/pjdr/theta": np.eye(2)}
+    runs = []
+    monkeypatch.setattr(compare_outputs, "run_revision",
+                        lambda rev, workdir, eps=0.0: runs.append((rev, eps)) or side)
+    assert compare_outputs.main(["HEAD", "--perturb", "1e-15"]) == 0
+    assert runs == [("HEAD", 0.0), ("HEAD", 1e-15)]
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["a"], doc["b"], doc["perturb"]) == ("HEAD", "HEAD", 1e-15)
+    assert doc["checks"]["fit/pjdr"]["identical"]
+    for argv in (["HEAD"], ["HEAD", "HEAD~1", "--perturb", "1e-15"]):
+        with pytest.raises(SystemExit):
+            compare_outputs.main(argv)

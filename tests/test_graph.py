@@ -185,31 +185,68 @@ class TestKnnGaussianAdjacency:
         assert np.all(np.diag(w) == 0)
 
 
+def _knn_draw(rng, kind, d, n):
+    if kind == "random":
+        return rng.standard_normal((d, n))
+    if kind == "duplicated":  # quarter steps: every distance is exact, many are 0
+        distinct = rng.integers(-4, 5, (d, max(1, n // 3))) / 4.0
+        return distinct[:, rng.integers(0, distinct.shape[1], n)]
+    return rng.integers(0, 3, (d, n)).astype(float)  # integer grid: many equal distances
+
+
+def _blkdiag(blocks):
+    x = np.zeros((sum(f.shape[0] for f in blocks), sum(f.shape[1] for f in blocks)))
+    r = c = 0
+    for f in blocks:
+        x[r:r + f.shape[0], c:c + f.shape[1]] = f
+        r, c = r + f.shape[0], c + f.shape[1]
+    return x
+
+
 class TestKnnGraph:
     @pytest.mark.parametrize("block_rows", [1, 3, None])
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["random", "duplicated", "grid"]), n=st.integers(2, 30),
-           d=st.integers(1, 4), k_frac=st.floats(0, 1), sigma=st.sampled_from([0.5, 1.0, 3.0]))
+           d=st.tuples(st.integers(1, 4), st.integers(1, 4)), split=st.floats(0, 1),
+           zero=st.booleans(), k_frac=st.floats(0, 1), sigma=st.sampled_from([0.5, 1.0, 3.0]))
     @settings(max_examples=40, deadline=None)
-    def test_equals_the_stable_argsort_rule(self, block_rows, seed, kind, n, d, k_frac, sigma):
+    def test_equals_the_stable_argsort_rule(self, block_rows, seed, kind, n, d, split, zero,
+                                            k_frac, sigma):
+        # two modality blocks, either of which may be small or empty: the cross
+        # distances sq_i + sq_j tie exactly with within-block ones on the exact
+        # kinds, and a k at or above a block's size forces cross edges
         rng = np.random.default_rng(seed)
-        if kind == "random":
-            x = rng.standard_normal((d, n))
-        elif kind == "duplicated":  # quarter steps: every distance is exact, many are 0
-            distinct = rng.integers(-4, 5, (d, max(1, n // 3))) / 4.0
-            x = distinct[:, rng.integers(0, distinct.shape[1], n)]
-        else:  # integer grid: many equal distances
-            x = rng.integers(0, 3, (d, n)).astype(float)
+        n_m = int(split * n)
+        blocks = [_knn_draw(rng, kind, d[0], n_m), _knn_draw(rng, kind, d[1], n - n_m)]
+        if zero:  # zero columns: their cross distances are the other side's norms
+            for f in blocks:
+                f[:, rng.random(f.shape[1]) < 0.4] = 0.0
+        x = _blkdiag(blocks)
         k = 1 + int(k_frac * (n - 2))
         with pytest.MonkeyPatch.context() as mp:
-            if block_rows is not None:  # several blocks, the last one ragged
+            if block_rows is not None:  # several row blocks per modality, the last ragged
                 mp.setattr(graph, "KNN_BLOCK_ENTRIES", block_rows * n)
-            w = graph.knn_graph(x, k, sigma)
+            w = graph.knn_graph(blocks, k, sigma)
         dense = _knn_oracle(x, k, sigma)
         assert np.array_equal(w.toarray() > 0, dense > 0)
         np.testing.assert_allclose(w.toarray(), dense, rtol=1e-12, atol=0)
         for got, want in zip(graph.pencil(x, w), graph.pencil(x, dense)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_norm_prefix_grows_past_rounded_ties(self):
+        # Each MS row is 2^54 away from every HS column, since 2^54 + 1 and
+        # 2^54 + 0.25 both round to 2^54, and 2^56 from the other MS column. The
+        # six columns of norm 0.25 sort first, yet the two nearest by the index
+        # rule are HS columns 0 and 1, of norm 1: the prefix must pass the ties.
+        ms = np.array([[2.0**27, -(2.0**27)]])
+        hs = np.array([[1.0, -1.0, 0.5, -0.5, 0.5, -0.5, 0.5, -0.5]])
+        w = graph.knn_graph([ms, hs], 2, 2.0**27)
+        assert w[0].indices.tolist() == [2, 3] and w[1].indices.tolist() == [2, 3]
+        np.testing.assert_array_equal(w.toarray(), _knn_oracle(_blkdiag([ms, hs]), 2, 2.0**27))
+
+    def test_k_of_the_whole_stack(self):
+        with pytest.raises(ValidationError, match="sample count 5"):
+            graph.knn_graph([np.ones((2, 3)), np.ones((4, 2))], 5, 1.0)
 
 
 class TestSparsePencil:

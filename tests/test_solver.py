@@ -291,6 +291,22 @@ class TestSolveThetaAdmm:
         assert held_back > 0, "no later iterate was worse; nothing was selected"
         assert not out.converged
 
+    def test_iterations_run_counts_the_whole_solve(self):
+        p, sys, xlxt, hyper, theta0 = self._setup(seed=2, dim=3)
+        gen_eig = _gen_eig(sys, xlxt)
+        # capped: the solve runs to inner_max_iter, though its returned iterate
+        # is an earlier one for some caps
+        capped = dataclasses.replace(hyper, beta=1.0, mu0=1.0, rho=2.0)
+        outs = [solver.solve_theta_admm(p, sys, gen_eig,
+                                        dataclasses.replace(capped, inner_max_iter=k),
+                                        warm_start=theta0) for k in range(1, 16)]
+        assert [out.iterations_run for out in outs] == list(range(1, 16))
+        assert any(out.iterations < out.iterations_run for out in outs)
+        assert not any(out.converged for out in outs)
+        # converged: the solve stops at the iterate it returns
+        out = solver.solve_theta_admm(p, sys, gen_eig, hyper, warm_start=theta0)
+        assert out.converged and out.iterations_run == out.iterations < hyper.inner_max_iter
+
     def test_factor_gives_the_same_solve(self, monkeypatch):
         p, sys, xlxt, hyper, theta0 = self._setup()
         _, seen = _fit_with_spy(monkeypatch, _toy_dataset(0, n_per_class=6, d_m=2, d_h=4),
