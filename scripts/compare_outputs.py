@@ -20,19 +20,26 @@ The child fits, through `experiment.fit_method`:
 - CoSpace on the shipped scene (dim 4, alpha 0.1, beta 0.01, default
   hyperparameters), which with the baseline and LSMA gives acceptance
   criterion 9's three overall accuracies (OA);
+- the two CoSpace fits that `perfbench/run.py` times: the same scene fit
+  stopped after at most 10 outer steps (`cospace_outer10`, its `SCENE_FITS`),
+  and the counted fit on the 2,000-pair set (dim 20, alpha 0.01, beta 0.01);
 
 and labels test pixels by 1-NN in each fit's space: the scene's test set for
 the scene and the 450-pair draw, and 1,000 pixels drawn from the 2,000-pair
 set's class model for that set. For each fit the document gives:
 
-- `identical`: Theta, the eigenvalues, the 1-NN references and the test
-  labels are bit-identical;
+- `identical`: Theta, the eigenvalues, the objective trace, the 1-NN
+  references and the test labels are bit-identical, and `theta_identical`
+  the same for Theta alone;
 - `max_abs_dtheta_per_row`: max |Theta_B - Theta_A| in each row;
 - `principal_angle_first_c` and `principal_angle_all`: the largest principal
   angle, in radians, between the row spaces of the first c rows (c = number of
   classes) and of all rows;
 - `eigenvalue_diff` (LSMA and LUSMA): lambda_B - lambda_A per row, and
   `eigenvalue_max_rel_diff`;
+- `outer_steps` (CoSpace): both sides' outer-step counts, and
+  `objective_trace_max_rel_diff`, the largest relative difference between
+  the objective traces over the steps both sides ran;
 - `changed_test_labels` of `test_labels`.
 
 `criterion_9` gives both sides' OAs. Every fit and label comes from the
@@ -57,8 +64,12 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENE = os.path.join(ROOT, "data", "metamer_scene.json")
 SMALL = {"pjdr": {"dim": 4}, "lsma": {"dim": 4}, "lusma": {"dim": 4, "k": 5, "sigma": 1.0}}
-LARGE = {"pjdr": {"dim": 20}, "lsma": {"dim": 20}, "lusma": {"dim": 20, "k": 10, "sigma": 2.0}}
+LARGE = {"pjdr": {"dim": 20}, "lsma": {"dim": 20}, "lusma": {"dim": 20, "k": 10, "sigma": 2.0},
+         "cospace": {"dim": 20, "alpha": 0.01, "beta": 0.01}}
 COSPACE = {"dim": 4, "alpha": 0.1, "beta": 0.01}
+# a run's method is its name up to the first "_"; "hyper" holds Hyperparams overrides
+SCENE_RUNS = dict(SMALL, baseline={}, cospace=COSPACE,
+                  cospace_outer10=dict(COSPACE, hyper={"outer_max_iter": 10}))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -68,7 +79,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _datasets(scale=1.0):
-    """{name: (PairedDataset, test MS, test labels, fit parameters)}, with the
+    """{name: (PairedDataset, test MS, test labels, {run: fit parameters})}, with the
     training MS and HS and the test MS scaled by `scale`."""
     from cospace import data
 
@@ -95,7 +106,7 @@ def _datasets(scale=1.0):
     return {name: (replace(ds, ms=ds.ms * scale, hs=ds.hs * scale), test_ms * scale,
                    test_labels, params)
             for name, (ds, test_ms, test_labels), params in (
-                ("scene", scene, SMALL), ("pairs_450", pairs_450, SMALL),
+                ("scene", scene, SCENE_RUNS), ("pairs_450", pairs_450, SMALL),
                 ("pairs_2000", pairs_2000, LARGE))}
 
 
@@ -103,11 +114,11 @@ def child(out, eps=0.0):
     from cospace import classify, experiment
 
     arrays = {}
-    for name, (ds, test_ms, test_labels, params) in _datasets(1.0 + eps).items():
-        runs = dict(params, baseline={}, cospace=COSPACE) if name == "scene" else params
-        for method, method_params in runs.items():
-            fitted = experiment.fit_method(ds, method, method_params)
-            key = f"{name}/{method}"
+    for name, (ds, test_ms, test_labels, runs) in _datasets(1.0 + eps).items():
+        for run, params in runs.items():
+            method = run.split("_")[0]
+            fitted = experiment.fit_method(ds, method, params, params.get("hyper"))
+            key = f"{name}/{run}"
             pred = classify.knn1_predict(fitted.references, fitted.embed_ms(test_ms))
             arrays[key + "/pred"] = pred
             arrays[key + "/truth"] = test_labels
@@ -117,6 +128,8 @@ def child(out, eps=0.0):
                 arrays[key + "/theta"] = fitted.model.theta
             if method in ("lsma", "lusma"):
                 arrays[key + "/eigenvalues"] = np.asarray(fitted.model.params["eigenvalues"])
+            if method == "cospace":
+                arrays[key + "/objective_trace"] = np.asarray(fitted.model.objective_trace)
     np.savez(out, **arrays)
 
 
@@ -156,7 +169,8 @@ def compare(a, b):
     checks, oa = {}, {"a": {}, "b": {}}
     for key in sorted({k.rsplit("/", 1)[0] for k in a}):
         get = {side: {f: arrs[f"{key}/{f}"] for f in ("pred", "truth", "refs", "theta",
-                                                     "eigenvalues", "num_classes")
+                                                     "eigenvalues", "objective_trace",
+                                                     "num_classes")
                       if f"{key}/{f}" in arrs}
                for side, arrs in (("a", a), ("b", b))}
         fa, fb = get["a"], get["b"]
@@ -165,6 +179,7 @@ def compare(a, b):
                  "test_labels": int(fa["pred"].size)}
         if "theta" in fa:
             c = int(fa["num_classes"])
+            entry["theta_identical"] = bool(np.array_equal(fa["theta"], fb["theta"]))
             entry["max_abs_dtheta_per_row"] = np.max(np.abs(fb["theta"] - fa["theta"]),
                                                      axis=1).tolist()
             entry["principal_angle_first_c"] = largest_angle(fa["theta"][:c], fb["theta"][:c])
@@ -174,6 +189,12 @@ def compare(a, b):
             entry["eigenvalue_diff"] = diff.tolist()
             entry["eigenvalue_max_rel_diff"] = float(
                 np.max(np.abs(diff) / np.maximum(np.abs(fa["eigenvalues"]), 1e-300)))
+        if "objective_trace" in fa:
+            ta, tb = fa["objective_trace"], fb["objective_trace"]
+            both = min(ta.size, tb.size)
+            entry["outer_steps"] = [ta.size - 1, tb.size - 1]
+            entry["objective_trace_max_rel_diff"] = float(np.max(
+                np.abs(tb[:both] - ta[:both]) / np.maximum(np.abs(ta[:both]), 1e-300)))
         checks[key] = entry
         if key.startswith("scene/") and key.split("/")[1] in ("baseline", "lsma", "cospace"):
             for side, f in (("a", fa), ("b", fb)):

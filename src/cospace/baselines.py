@@ -1,9 +1,11 @@
 """Comparison projections: joint PCA and LPP-style manifold alignment.
 
 The learned rows keep the [ms-part, hs-part] layout of the block-diagonal
-stacked system expected by the classification pipeline. The supervised and
-unsupervised alignment variants differ only in the pencil passed to
-`fit_lpp`: `graph.class_pencil` for LSMA, `graph.pencil` of a kNN graph for LUSMA.
+stacked system expected by the classification pipeline. Each fit sees the
+data only through D x D matrices: PJDR through the stacked samples' centred
+scatter, the supervised and unsupervised alignment variants through the pencil
+passed to `fit_lpp`: `graph.class_pencil` for LSMA, `graph.pencil` of a kNN
+graph for LUSMA.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StackedSystem
 from .errors import NumericalError, ValidationError
 
 
@@ -44,22 +45,15 @@ def _fix_signs(rows):
     return rows
 
 
-def fit_pjdr(sys: StackedSystem, d) -> LinearProjection:
-    """PCA of the mean-centered stacked data; rows are top principal axes."""
-    x = sys.xtilde
-    n = x.shape[1]
-    if n < 2:
-        raise ValidationError("need at least 2 stacked samples")
-    centered = x - x.mean(axis=1, keepdims=True)
-    cov = centered @ centered.T / (n - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    rank = int(np.sum(evals > 1e-12 * max(evals[0], 1.0)))
+def fit_pjdr(d_m, scatter, d) -> LinearProjection:
+    """PCA of the stacked samples: the top-`d` eigenvectors of their centred
+    scatter X C X^T (C = I - 11^T/2N), which `graph.class_pencil` of one class gives."""
+    evals, evecs = np.linalg.eigh(scatter)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    rank = int(np.sum(evals > 1e-12 * evals[0]))
     if d > rank:
         raise ValidationError(f"d={d} exceeds the data rank {rank}")
-    theta = _fix_signs(evecs[:, order[:d]].T)
-    return LinearProjection(theta=theta, d_m=sys.d_m, params={})
+    return LinearProjection(theta=_fix_signs(evecs[:, :d].T), d_m=d_m, params={})
 
 
 def fit_lpp(d_m, pencil, d) -> LinearProjection:

@@ -65,6 +65,8 @@ def cmd_predict(args):
         raise ValidationError("--pgm requires a positive --width and --height")
     model = solver.load_model(args.model)
     x, _ = data.load_csv(args.input)
+    if args.pgm and x.shape[1] != args.width * args.height:
+        raise ValidationError(f"{x.shape[1]} pixels do not fill a {args.width}x{args.height} map")
     if args.classifier == "p":
         pred = classify.predict_via_p(model, x)
     else:

@@ -104,15 +104,16 @@ def fit_method(ds: PairedDataset, method, params, hyper_overrides=None) -> Fitte
         return FittedMethod(np.eye(ds.ms.shape[0]), classify.ReferenceSet(ds.ms, ds.labels))
     if method == "cospace":
         return _fitted_cospace(solver.fit(ds, _cospace_hyper(params, hyper_overrides)))
-    if method == "lsma":
-        proj = baselines.fit_lpp(ds.ms.shape[0], class_pencil(ds), params["dim"])
-        emb = np.hstack([proj.theta_m @ ds.ms, proj.theta_h @ ds.hs])
+    d_m = ds.ms.shape[0]
+    if method == "pjdr":
+        one_class = replace(ds, labels=np.ones(ds.num_samples, dtype=int), num_classes=1)
+        proj = baselines.fit_pjdr(d_m, class_pencil(one_class)[0], params["dim"])
+    elif method == "lsma":
+        proj = baselines.fit_lpp(d_m, class_pencil(ds), params["dim"])
     else:
-        sys = data.stack_system(ds)
-        proj = (baselines.fit_pjdr(sys, params["dim"]) if method == "pjdr" else baselines.fit_lpp(
-            sys.d_m, pencil(sys.xtilde, knn_graph([ds.ms, ds.hs], params["k"], params["sigma"])),
-            params["dim"]))
-        emb = proj.theta @ sys.xtilde
+        proj = baselines.fit_lpp(d_m, pencil(data.stack_system(ds).xtilde, knn_graph(
+            [ds.ms, ds.hs], params["k"], params["sigma"])), params["dim"])
+    emb = np.hstack([proj.theta_m @ ds.ms, proj.theta_h @ ds.hs])
     refs = classify.ReferenceSet(emb, np.concatenate([ds.labels, ds.labels]))
     return FittedMethod(proj.theta_m, refs, proj)
 

@@ -152,7 +152,7 @@ def update_p(ytilde, q, alpha):
     gram = q @ q.T
     if alpha == 0:
         eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
+        if eigs[0] <= 1e-12 * eigs[-1]:
             raise NumericalError(
                 "Q Q^T is singular with alpha=0; use alpha > 0 to regularize"
             )

@@ -298,8 +298,6 @@ def test_criterion_09_transfer_gain_on_shipped_scene():
 
 
 def test_criterion_10_baseline_eigensolvers():
-    from cospace.data import StackedSystem
-
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = 2 if seed % 2 == 0 else 3
@@ -331,8 +329,8 @@ def test_criterion_10_baseline_eigensolvers():
     scores = rng.standard_normal(2000) * 8.0
     noise = rng.standard_normal((6, 2000)) * 0.3
     x = axis[:, None] * scores[None, :] + noise
-    sys = StackedSystem(xtilde=x, ytilde=np.zeros((1, 2000)), d_m=3, d_h=3)
-    proj = baselines.fit_pjdr(sys, 1)
+    centered = x - x.mean(axis=1, keepdims=True)
+    proj = baselines.fit_pjdr(3, centered @ centered.T, 1)
     cos = abs(float(proj.theta[0] @ axis))
     assert cos >= 0.999, f"cos angle {cos:.6f}"
     _passed(10, f"pencil oracle matched to 1e-8; planted axis cos {cos:.5f}")

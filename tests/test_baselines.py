@@ -7,6 +7,11 @@ from cospace.errors import ValidationError
 from cospace.graph import laplacian, pencil
 
 
+def _scatter(x):
+    centered = x - x.mean(axis=1, keepdims=True)
+    return centered @ centered.T
+
+
 def _sys(x, d_m=1):
     x = np.asarray(x, dtype=float)
     return StackedSystem(xtilde=x, ytilde=np.zeros((1, x.shape[1])),
@@ -18,7 +23,7 @@ class TestPjdr:
         x = np.zeros((3, 20))
         x[1] = np.linspace(-5, 5, 20)
         x[2] = 0.01 * np.sin(np.arange(20))
-        proj = baselines.fit_pjdr(_sys(x), 1)
+        proj = baselines.fit_pjdr(1, _scatter(x), 1)
         assert abs(proj.theta[0, 1]) == pytest.approx(1.0, abs=1e-3)
         # sign convention: first coordinate above round-off is positive
         nz = np.nonzero(np.abs(proj.theta[0]) > 1e-12)[0]
@@ -26,13 +31,13 @@ class TestPjdr:
 
     def test_rows_orthonormal(self):
         rng = np.random.default_rng(0)
-        proj = baselines.fit_pjdr(_sys(rng.standard_normal((5, 30)), d_m=2), 3)
+        proj = baselines.fit_pjdr(2, _scatter(rng.standard_normal((5, 30))), 3)
         assert np.allclose(proj.theta @ proj.theta.T, np.eye(3), atol=1e-10)
 
     def test_projected_data_decorrelated(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 50))
-        proj = baselines.fit_pjdr(_sys(x, d_m=3), 4)
+        proj = baselines.fit_pjdr(3, _scatter(x), 4)
         centered = x - x.mean(axis=1, keepdims=True)
         q = proj.theta @ centered
         cov = q @ q.T / 49
@@ -42,7 +47,7 @@ class TestPjdr:
     def test_variance_ordering(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 40)) * np.array([5, 3, 1, 0.5, 0.1])[:, None]
-        proj = baselines.fit_pjdr(_sys(x, d_m=2), 4)
+        proj = baselines.fit_pjdr(2, _scatter(x), 4)
         centered = x - x.mean(axis=1, keepdims=True)
         variances = np.var(proj.theta @ centered, axis=1)
         assert np.all(np.diff(variances) <= 1e-10)
@@ -51,13 +56,13 @@ class TestPjdr:
         x = np.vstack([np.linspace(0, 1, 8), np.linspace(0, 2, 8)])  # rank 1 centered
         x[1] = 2 * x[0]
         with pytest.raises(ValidationError, match="rank"):
-            baselines.fit_pjdr(_sys(x), 2)
+            baselines.fit_pjdr(1, _scatter(x), 2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 25))
-        a = baselines.fit_pjdr(_sys(x), 2)
-        b = baselines.fit_pjdr(_sys(x), 2)
+        a = baselines.fit_pjdr(1, _scatter(x), 2)
+        b = baselines.fit_pjdr(1, _scatter(x), 2)
         assert np.array_equal(a.theta, b.theta)
 
 
@@ -134,7 +139,7 @@ class TestLpp:
 class TestSerialization:
     def test_modality_split(self):
         rng = np.random.default_rng(9)
-        proj = baselines.fit_pjdr(_sys(rng.standard_normal((5, 30)), d_m=2), 3)
+        proj = baselines.fit_pjdr(2, _scatter(rng.standard_normal((5, 30))), 3)
         assert proj.theta_m.shape == (3, 2)
         assert proj.theta_h.shape == (3, 3)
         assert np.array_equal(np.hstack([proj.theta_m, proj.theta_h]), proj.theta)

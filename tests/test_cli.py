@@ -142,9 +142,10 @@ class TestPipeline:
                          "--pgm", str(pgm),
                          "--out", str(tmp_path / "pred.csv")]) == 1
 
-    # the scene has 30 test pixels, so -3 x -10 fills the map
+    # the scene has 30 test pixels, so -3 x -10 fills the map and 10 x 10 does not
     @pytest.mark.parametrize("size", [[], ["--width", "10"], ["--width", "-3", "--height", "-10"],
-                                      ["--width", "0", "--height", "30"]])
+                                      ["--width", "0", "--height", "30"],
+                                      ["--width", "10", "--height", "10"]])
     def test_predict_pgm_rejects_a_bad_size_before_writing(self, tmp_path, size):
         scene_dir, model_path, _ = self._fitted_scene(tmp_path)
         out, pgm = tmp_path / "pred.csv", tmp_path / "map.pgm"

@@ -46,6 +46,17 @@ def test_compare_reports_each_kind_of_change():
     assert got["eigenvalue_max_rel_diff"] == pytest.approx(1e-12, rel=1e-3)
 
 
+def test_compare_reports_the_objective_trace():
+    side = {"fit/cospace/pred": np.array([1, 2]), "fit/cospace/truth": np.array([1, 2]),
+            "fit/cospace/refs": np.ones((2, 2)), "fit/cospace/num_classes": np.array(2),
+            "fit/cospace/theta": np.eye(2), "fit/cospace/objective_trace": np.array([4.0, 2.0])}
+    longer = dict(side, **{"fit/cospace/objective_trace": np.array([4.0, 2.0 + 2e-12, 1.5])})
+    got = compare_outputs.compare(side, longer)[0]["fit/cospace"]
+    assert not got["identical"] and got["theta_identical"]
+    assert got["outer_steps"] == [1, 2]
+    assert got["objective_trace_max_rel_diff"] == pytest.approx(1e-12, rel=1e-3)
+
+
 def test_a_tree_against_itself_is_identical(tmp_path):
     # the child's fits on this tree, compared with themselves; git is not needed
     out = tmp_path / "outputs.npz"
@@ -54,9 +65,12 @@ def test_a_tree_against_itself_is_identical(tmp_path):
         arrays = dict(npz)
     checks, oa = compare_outputs.compare(arrays, arrays)
     assert set(checks) == {f"{name}/{method}" for name in ("scene", "pairs_450", "pairs_2000")
-                           for method in ("pjdr", "lsma", "lusma")} | {"scene/baseline",
-                                                                        "scene/cospace"}
+                           for method in ("pjdr", "lsma", "lusma")} | {
+        "scene/baseline", "scene/cospace", "scene/cospace_outer10", "pairs_2000/cospace"}
     assert all(check["identical"] for check in checks.values())
+    bench_fit = checks["scene/cospace_outer10"]
+    assert bench_fit["theta_identical"] and bench_fit["objective_trace_max_rel_diff"] == 0.0
+    assert bench_fit["outer_steps"][0] == bench_fit["outer_steps"][1] <= 10
     assert oa["a"] == oa["b"] and set(oa["a"]) == {"baseline", "lsma", "cospace"}
 
 

@@ -1,5 +1,7 @@
 import json
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,19 @@ def _dataset(seed=0, n_per_class=12, d_m=3, d_h=6, num_classes=3):
     srf /= srf.sum(axis=1, keepdims=True)
     return PairedDataset(ms=srf @ hs, hs=hs, labels=labels,
                          num_classes=num_classes)
+
+
+def _scene():
+    """The shipped scene's training pairs."""
+    from cospace import data
+
+    spec = (Path(__file__).resolve().parents[1] / "data" / "metamer_scene.json").read_text()
+    return data.make_synthetic_scene(data.SceneSpec.from_json(spec))[0]
+
+
+def _signs_fixed(rows):
+    """Rows with their largest-magnitude entry made positive."""
+    return rows * np.sign(rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)])[:, None]
 
 
 SMALL_GRID = experiment.GridSpec(dims=(2, 3), alphas=(0.1,), betas=(0.01,),
@@ -185,6 +200,59 @@ class TestFitMethod:
         experiment.fit_method(_dataset(), "lsma", {"dim": 2})
         assert calls == []
         assert not hasattr(experiment, "lda_like_adjacency")
+
+    @pytest.mark.parametrize("method,params", [
+        ("pjdr", {"dim": 2}),
+        ("lsma", {"dim": 2}),
+        ("lusma", {"dim": 2, "k": 3, "sigma": 1.0}),
+    ])
+    def test_baseline_references_embed_each_modality(self, method, params):
+        ds = _dataset()
+        fitted = experiment.fit_method(ds, method, params)
+        theta = fitted.model
+        assert np.array_equal(fitted.references.embeddings,
+                              np.hstack([theta.theta_m @ ds.ms, theta.theta_h @ ds.hs]))
+        assert np.array_equal(fitted.references.labels, np.concatenate([ds.labels, ds.labels]))
+
+    def test_pjdr_builds_no_graph_and_no_stacked_system(self, monkeypatch):
+        from cospace import data, graph, solver
+
+        calls = []
+
+        def refuse(name):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"a PJDR fit called {name}")
+            return spy
+
+        for module, name in [(graph, "lda_like_adjacency"), (graph, "pencil"),
+                             (experiment, "pencil"), (data, "stack_system"),
+                             (solver, "stack_system")]:
+            monkeypatch.setattr(module, name, refuse(name))
+        experiment.fit_method(_dataset(), "pjdr", {"dim": 2})
+        assert calls == []
+
+    @pytest.mark.parametrize("offset,atol", [(0.0, 1e-12), (1e3, 1e-6)])
+    def test_pjdr_rows_are_the_centred_stack_principal_axes(self, offset, atol):
+        # oracle: PCA of the centred block-diagonal stack. At offset 1e3 the mean
+        # direction's eigenvalue is ~2e8 times the 4th and 5th, which lie 6e-10 of
+        # it apart, so either eigensolve moves row 4 by about eps / 6e-10 ~ 2e-7
+        from cospace import data
+
+        ds = _scene()
+        ds = replace(ds, ms=ds.ms + offset, hs=ds.hs + offset)
+        x = data.stack_system(ds).xtilde
+        centered = x - x.mean(axis=1, keepdims=True)
+        oracle = np.linalg.eigh(centered @ centered.T)[1][:, ::-1][:, :4].T
+        theta = experiment.fit_method(ds, "pjdr", {"dim": 4}).model.theta
+        assert np.allclose(_signs_fixed(theta), _signs_fixed(oracle), rtol=0, atol=atol)
+
+    def test_pjdr_is_independent_of_scale(self):
+        ds = _scene()
+        theta = experiment.fit_method(ds, "pjdr", {"dim": 4}).model.theta
+        tiny = replace(ds, ms=1e-7 * ds.ms, hs=1e-7 * ds.hs)
+        assert np.allclose(experiment.fit_method(tiny, "pjdr", {"dim": 4}).model.theta,
+                           theta, rtol=0, atol=1e-12)
 
     def test_lsma_solves_the_graph_pencil(self):
         # the eigenvalues and the first c rows (c = 3 classes) are those of the

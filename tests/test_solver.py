@@ -98,6 +98,22 @@ class TestUpdateP:
         with pytest.raises(ValidationError):
             solver.update_p(np.eye(2), np.eye(2), alpha=-1.0)
 
+    def test_unregularized_solve_scales_with_q(self):
+        # P = Y Q^T (Q Q^T)^-1, so P(s Q) = P(Q) / s; QQ^T's eigenvalues here are
+        # of order 10, so an absolute floor of 1e-12 would call 1e-7 Q singular
+        rng = np.random.default_rng(13)
+        ytilde = rng.standard_normal((2, 12))
+        q = rng.standard_normal((3, 12))
+        assert np.allclose(solver.update_p(ytilde, 1e-7 * q, 0.0),
+                           1e7 * solver.update_p(ytilde, q, 0.0), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+    def test_singular_at_any_scale(self, scale):
+        q = np.random.default_rng(14).standard_normal((3, 12))
+        q[2] = q[0]
+        with pytest.raises(NumericalError, match="alpha"):
+            solver.update_p(np.ones((2, 12)), scale * q, alpha=0.0)
+
 
 def _fit_with_spy(monkeypatch, ds, hyper):
     """Fit, and return the model and the system of each inner solve."""
